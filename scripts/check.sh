@@ -37,7 +37,13 @@
 #      must be byte-identical at --threads 1/2/8, and a loopback
 #      renewal smoke (--renew/--waves) must show budget_exhausted
 #      refusals turning back into grants after an epoch-boundary
-#      renewal.
+#      renewal,
+#  11. the perfbench gate: `perfbench/run.py --smoke` must pass (every
+#      workload, traced and untraced, reports "correct": true and every
+#      listed metric, and a corrupted digest is caught), and a short
+#      traced serve_batch_hot run must report "correct": true — its
+#      shadow serving pipeline reproduces every ReleaseService result bit
+#      for bit.
 #
 # Usage: scripts/check.sh [jobs]   (default: nproc)
 set -euo pipefail
@@ -45,20 +51,20 @@ cd "$(dirname "$0")/.."
 
 jobs="${1:-$(nproc)}"
 
-echo "== [1/10] plain build + tier-1 tests =="
+echo "== [1/11] plain build + tier-1 tests =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
 (cd build && ctest -L tier1 --output-on-failure -j "$jobs")
 
-echo "== [2/10] ThreadSanitizer build + tsan-labelled tests =="
+echo "== [2/11] ThreadSanitizer build + tsan-labelled tests =="
 cmake -B build-tsan -S . -DPOIPRIVACY_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$jobs"
 (cd build-tsan && ctest -L tsan --output-on-failure -j "$jobs")
 
-echo "== [3/10] metrics determinism at --threads 1/2/8 =="
+echo "== [3/11] metrics determinism at --threads 1/2/8 =="
 ./build/tests/obs_determinism_test
 
-echo "== [4/10] poibench --all --smoke determinism at --threads 1/8 =="
+echo "== [4/11] poibench --all --smoke determinism at --threads 1/8 =="
 cmake --build build -j "$jobs" --target poibench
 smoke_t1="$(mktemp)"
 smoke_t8="$(mktemp)"
@@ -74,7 +80,7 @@ done
 echo "poibench smoke: $(grep -c '^==== ' "$smoke_t1") scenarios identical at --threads 1/8 (mia_* present)"
 rm -f "$smoke_t1" "$smoke_t8"
 
-echo "== [5/10] Release bench smoke =="
+echo "== [5/11] Release bench smoke =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-release -j "$jobs" --target poibench
 smoke_json="$(mktemp)"
@@ -89,7 +95,7 @@ print('bench smoke:', len(doc['results']), 'benchmarks ran')
 "
 rm -f "$smoke_json"
 
-echo "== [6/10] kernel dispatch: scalar-tier suite + cross-tier bench identity =="
+echo "== [6/11] kernel dispatch: scalar-tier suite + cross-tier bench identity =="
 (cd build && POIPRIVACY_KERNEL=scalar ctest -L tier1 --output-on-failure -j "$jobs")
 for threads in 1 2 8; do
   smoke_scalar="$(mktemp)"
@@ -103,7 +109,7 @@ for threads in 1 2 8; do
   echo "poibench smoke: scalar == native tier at --threads $threads"
 done
 
-echo "== [7/10] ASan/UBSan build + kernel property suites per tier =="
+echo "== [7/11] ASan/UBSan build + kernel property suites per tier =="
 cmake -B build-asan -S . -DPOIPRIVACY_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$jobs" --target \
   kernel_property_test fingerprint_property_test tile_window_property_test
@@ -118,7 +124,7 @@ for tier in native scalar; do
   done
 done
 
-echo "== [8/10] serving layer: stress/property/framing under TSan + TCP loopback smoke =="
+echo "== [8/11] serving layer: stress/property/framing under TSan + TCP loopback smoke =="
 for suite in service_stress_test session_shard_property_test net_framing_test; do
   cmake --build build-tsan -j "$jobs" --target "$suite" >/dev/null
   "./build-tsan/tests/$suite" --gtest_brief=1 >/dev/null
@@ -142,7 +148,7 @@ print('loopback smoke:', doc['served'], 'requests served over',
 "
 rm -f "$loopback_json"
 
-echo "== [9/10] linkage engine: smoke identity at --threads 1/2/8 + TSan property suite =="
+echo "== [9/11] linkage engine: smoke identity at --threads 1/2/8 + TSan property suite =="
 linkage_ref="$(mktemp)"
 ./build/bench/poibench --scenario linkage_100k --smoke --seed 4242 \
   --threads 1 2>/dev/null | sed 's/threads=[0-9]*/threads=N/' > "$linkage_ref"
@@ -178,7 +184,7 @@ cmake --build build-tsan -j "$jobs" --target linkage_property_test >/dev/null
 ./build-tsan/tests/linkage_property_test --gtest_brief=1 >/dev/null
 echo "tsan: linkage_property_test clean"
 
-echo "== [10/10] ledger: property suite under TSan + stream_utility identity + renewal smoke =="
+echo "== [10/11] ledger: property suite under TSan + stream_utility identity + renewal smoke =="
 cmake --build build-tsan -j "$jobs" --target ledger_property_test >/dev/null
 ./build-tsan/tests/ledger_property_test --gtest_brief=1 >/dev/null
 echo "tsan: ledger_property_test clean"
@@ -215,5 +221,26 @@ print('renewal smoke:', waves[0]['budget_exhausted'],
       'sessions renewed;', waves[1]['granted'], 'grants post-renewal')
 "
 rm -f "$renewal_json"
+
+echo "== [11/11] perfbench: smoke + traced shadow-pipeline identity =="
+perf_smoke="$(mktemp)"
+python3 perfbench/run.py --smoke > "$perf_smoke"
+perf_traced="$(mktemp)"
+python3 perfbench/run.py --workload serve_batch_hot --seed 7 --seconds 1 \
+  --trace 1 > "$perf_traced"
+python3 -c "
+import json
+with open('$perf_smoke') as f:
+    smoke = json.loads(f.read().strip().splitlines()[-1])
+assert smoke['smoke'] == 'pass', smoke
+with open('$perf_traced') as f:
+    result = json.loads(f.read().strip().splitlines()[-1])
+assert result['correct'] is True, result
+print('perfbench: smoke pass; traced serve_batch_hot correct,',
+      result['attempted'], 'requests,',
+      'defense.postprocess.us_per_op =',
+      result['metrics']['defense.postprocess.us_per_op']['value'])
+"
+rm -f "$perf_smoke" "$perf_traced"
 
 echo "check.sh: all gates passed"

@@ -3,31 +3,17 @@
 #include "dp/discrete.h"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 namespace poiprivacy::defense {
 
-namespace {
-
-/// Perturbation is restricted to the citywide-rare tail (count <= 10, the
-/// sanitization threshold): common types carry almost no objective weight
-/// and suppressing them would damage the Top-K utility.
-int rare_rank_cap(const poi::PoiDatabase& db) {
-  return static_cast<int>(db.types_with_city_freq_at_most(10).size());
-}
-
-}  // namespace
-
 poi::FrequencyVector postprocess_release(const poi::PoiDatabase& db,
-                                         std::vector<double> base,
+                                         std::span<const double> base,
                                          double beta,
                                          std::int32_t max_injection) {
-  opt::DistortionProblem problem;
-  problem.base = std::move(base);
-  problem.rank = db.infrequency_rank();
-  problem.beta = beta;
-  problem.max_injection = max_injection;
-  problem.max_rank = rare_rank_cap(db);
-  return opt::optimize_release(problem).release;
+  return opt::greedy_release(base, db.infrequency_rank(), beta,
+                             max_injection, db.rare_type_count());
 }
 
 poi::FrequencyVector OptimizationDefense::release(
@@ -49,10 +35,9 @@ std::vector<double> DpDefense::noised_mean(geo::Point location, double r,
   db_->freq_batch(dummies, r, arena);
 
   const std::size_t m = db_->num_types();
-  const double k = static_cast<double>(dummies.size());
   // Row-major accumulation streams each arena row once. Per type, the
   // additions still happen in ascending dummy order, so the floating-point
-  // sums (and hence the noise draws below) are bit-identical to the old
+  // sums (and hence the noise draws) are bit-identical to the old
   // column-major loop.
   std::vector<double> sum(m, 0.0);
   std::vector<double> sensitivity(m, 0.0);  // Delta_i = max_d F_d[i]
@@ -64,30 +49,40 @@ std::vector<double> DpDefense::noised_mean(geo::Point location, double r,
           std::max(sensitivity[i], static_cast<double>(row[i]));
     }
   }
+  return noise_aggregate(sum, sensitivity, dummies.size(), config_, rng);
+}
 
-  std::vector<double> mean(m, 0.0);
-  const dp::PrivacyParams params{config_.epsilon, config_.delta};
-  for (std::size_t i = 0; i < m; ++i) {
+std::vector<double> noise_aggregate(std::span<const double> sum,
+                                    std::span<const double> sensitivity,
+                                    std::size_t k,
+                                    const DpDefenseConfig& policy,
+                                    common::Rng& rng) {
+  const bool gaussian = policy.noise == DpNoiseKind::kGaussian;
+  // The Gaussian factor sqrt(2 ln(1.25/delta)) is hoisted out of the loop;
+  // each sigma is still (factor * Delta_i) / eps, calibrated_sigma's
+  // evaluation order, so every draw is bit-identical to calling it.
+  double factor = 0.0;
+  if (gaussian) {
+    factor = dp::GaussianMechanism::delta_factor(
+        {policy.epsilon, policy.delta});
+  } else if (policy.epsilon <= 0.0) {
+    throw std::invalid_argument("geometric mechanism: epsilon must be > 0");
+  }
+  const double kd = static_cast<double>(k);
+  std::vector<double> mean(sum.size());
+  for (std::size_t i = 0; i < sum.size(); ++i) {
     double noised = sum[i];
     if (sensitivity[i] > 0.0) {
-      switch (config_.noise) {
-        case DpNoiseKind::kGaussian: {
-          const double sigma =
-              dp::GaussianMechanism::calibrated_sigma(params, sensitivity[i]);
-          noised = sum[i] + rng.normal(0.0, sigma);
-          break;
-        }
-        case DpNoiseKind::kGeometric: {
-          const dp::GeometricMechanism mech(
-              config_.epsilon, static_cast<std::int64_t>(sensitivity[i]));
-          noised = static_cast<double>(
-              mech.perturb(static_cast<std::int64_t>(std::llround(sum[i])),
-                           rng));
-          break;
-        }
+      if (gaussian) {
+        noised += rng.normal(0.0, factor * sensitivity[i] / policy.epsilon);
+      } else {
+        const dp::GeometricMechanism mech(
+            policy.epsilon, static_cast<std::int64_t>(sensitivity[i]));
+        noised = static_cast<double>(mech.perturb(
+            static_cast<std::int64_t>(std::llround(noised)), rng));
       }
     }
-    mean[i] = noised / k;
+    mean[i] = noised / kd;
   }
   return mean;
 }

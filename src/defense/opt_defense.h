@@ -14,6 +14,9 @@
 //          preserves the DP guarantee (Lemma 3).
 #pragma once
 
+#include <span>
+#include <vector>
+
 #include "cloak/kcloak.h"
 #include "dp/mechanisms.h"
 #include "opt/distortion.h"
@@ -24,10 +27,11 @@ namespace poiprivacy::defense {
 /// The Eq. (9) post-processing step shared by OptimizationDefense,
 /// DpDefense and the serving layer: optimize the (real-valued) base
 /// vector under average relative distortion budget `beta`, perturbing
-/// only the citywide-rare tail (see DESIGN.md 4b.5). Post-processing, so
-/// it preserves whatever DP guarantee the base vector carries (Lemma 3).
+/// only ranks up to db.rare_type_count() (see DESIGN.md 4b.5). Runs the
+/// release-only opt::greedy_release. Post-processing, so it preserves
+/// whatever DP guarantee the base vector carries (Lemma 3).
 poi::FrequencyVector postprocess_release(const poi::PoiDatabase& db,
-                                         std::vector<double> base,
+                                         std::span<const double> base,
                                          double beta,
                                          std::int32_t max_injection);
 
@@ -74,6 +78,18 @@ struct DpDefenseConfig {
   /// ablation, disabled by default.
   std::int32_t max_injection = 0;
 };
+
+/// The Eq. (8) noised mean shared by DpDefense and the serving layer:
+/// per type i, sum[i] plus noise calibrated to sensitivity[i] (none where
+/// it is 0), divided by k. Gaussian noise uses Definition 2's sigma;
+/// geometric noise perturbs the rounded sum. (eps, delta) are validated
+/// once per call: throws std::invalid_argument if they are ill-formed for
+/// `policy.noise`.
+std::vector<double> noise_aggregate(std::span<const double> sum,
+                                    std::span<const double> sensitivity,
+                                    std::size_t k,
+                                    const DpDefenseConfig& policy,
+                                    common::Rng& rng);
 
 class DpDefense {
  public:

@@ -16,17 +16,21 @@ double LaplaceMechanism::perturb(double value, common::Rng& rng) const {
   return value + rng.laplace(scale_);
 }
 
-double GaussianMechanism::calibrated_sigma(PrivacyParams params,
-                                           double sensitivity) {
+double GaussianMechanism::delta_factor(PrivacyParams params) {
   if (params.epsilon <= 0.0 || params.delta <= 0.0 || params.delta >= 1.0) {
     throw std::invalid_argument(
         "gaussian: requires epsilon > 0 and delta in (0, 1)");
   }
+  return std::sqrt(2.0 * std::log(1.25 / params.delta));
+}
+
+double GaussianMechanism::calibrated_sigma(PrivacyParams params,
+                                           double sensitivity) {
+  const double factor = delta_factor(params);
   if (sensitivity < 0.0) {
     throw std::invalid_argument("gaussian: sensitivity must be >= 0");
   }
-  return std::sqrt(2.0 * std::log(1.25 / params.delta)) * sensitivity /
-         params.epsilon;
+  return factor * sensitivity / params.epsilon;
 }
 
 GaussianMechanism::GaussianMechanism(PrivacyParams params, double sensitivity)

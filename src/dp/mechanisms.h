@@ -42,8 +42,14 @@ class GaussianMechanism {
   /// The calibrated noise standard deviation.
   double sigma() const noexcept { return sigma_; }
 
-  /// sigma for the given parameters without constructing a mechanism.
+  /// sigma for the given parameters without constructing a mechanism:
+  /// (delta_factor(params) * sensitivity) / epsilon.
   static double calibrated_sigma(PrivacyParams params, double sensitivity);
+
+  /// sqrt(2 ln(1.25 / delta)), the sensitivity-free part of sigma, so a
+  /// caller calibrating many sensitivities validates and computes it once.
+  /// Throws unless epsilon > 0 and delta in (0, 1).
+  static double delta_factor(PrivacyParams params);
 
  private:
   double sigma_;

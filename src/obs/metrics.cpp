@@ -6,6 +6,7 @@
 #include <fstream>
 #include <iostream>
 #include <stdexcept>
+#include <unordered_map>
 #include <utility>
 
 #include "eval/json.h"
@@ -20,11 +21,14 @@ namespace {
 constexpr std::size_t kMaxExactSamples = 65536;
 
 /// Per-thread sample buffer. Only the owning thread appends; scrapes lock
-/// the buffer mutex, so the uncontended fast path stays one lock + one
-/// push_back.
+/// the buffer mutex, so the uncontended fast path stays one lock, one
+/// count lookup and one push_back.
 struct ThreadBuffer {
   std::mutex mu;
   std::vector<std::pair<Histogram*, double>> samples;
+  /// Samples this thread has ever buffered, by histogram id; capped at
+  /// kMaxExactSamples.
+  std::unordered_map<std::uint64_t, std::size_t> buffered;
 };
 
 /// All live buffers, in thread-registration order — the order scrapes
@@ -72,6 +76,11 @@ void atomic_max(std::atomic<double>& target, double v) noexcept {
   while (v > cur && !target.compare_exchange_weak(
                         cur, v, std::memory_order_relaxed)) {
   }
+}
+
+std::uint64_t next_histogram_id() noexcept {
+  static std::atomic<std::uint64_t> next{0};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::size_t counter_thread_slot() noexcept {
@@ -124,6 +133,9 @@ double Histogram::bucket_upper_bound(std::size_t bucket) noexcept {
   return kBase * std::ldexp(1.0, static_cast<int>(bucket) - 1);
 }
 
+Histogram::Histogram(Registry* owner) noexcept
+    : owner_(owner), id_(next_histogram_id()) {}
+
 void Histogram::record(double v) noexcept {
   bucket_counts_[bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
@@ -132,16 +144,31 @@ void Histogram::record(double v) noexcept {
   atomic_max(max_, v);
   ThreadBuffer& buf = this_thread_buffer();
   const std::lock_guard<std::mutex> lock(buf.mu);
-  buf.samples.emplace_back(this, v);
+  std::size_t& buffered = buf.buffered[id_];
+  if (buffered < kMaxExactSamples) {
+    ++buffered;
+    buf.samples.emplace_back(this, v);
+  } else {
+    refused_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 HistogramSnapshot Histogram::snapshot() { return owner_->snapshot_of(*this); }
 
 Registry::~Registry() {
   // Pull this registry's samples out of the thread buffers so no buffer is
-  // left holding a pointer into the entries we are about to free.
+  // left holding a pointer into the entries we are about to free, and
+  // drop the buffered counts of its histograms.
   const std::lock_guard<std::mutex> lock(mu_);
   scrape_locked();
+  BufferList& list = buffer_list();
+  const std::lock_guard<std::mutex> list_lock(list.mu);
+  for (const std::shared_ptr<ThreadBuffer>& buf : list.buffers) {
+    const std::lock_guard<std::mutex> buf_lock(buf->mu);
+    for (const auto& entry : entries_) {
+      if (entry->histogram) buf->buffered.erase(entry->histogram->id_);
+    }
+  }
 }
 
 Registry::Entry& Registry::entry_for(const std::string& name) {
@@ -239,7 +266,7 @@ HistogramSnapshot Registry::snapshot_of(Histogram& hist) {
   snap.sum = hist.sum_.load(std::memory_order_relaxed);
   snap.min = hist.min_.load(std::memory_order_relaxed);
   snap.max = hist.max_.load(std::memory_order_relaxed);
-  snap.dropped = hist.dropped_;
+  snap.dropped = hist.dropped_ + hist.refused_.load(std::memory_order_relaxed);
   std::vector<double> sorted = hist.samples_;
   std::sort(sorted.begin(), sorted.end());
   snap.p50 = interpolate(sorted, 0.50);

@@ -18,7 +18,12 @@
 //     same linear-interpolation rule as common::percentiles (rank
 //     q*(n-1), NumPy "linear"). Exact samples are capped at 65536 per
 //     histogram; beyond the cap values still land in the buckets and the
-//     overflow is reported as Snapshot::dropped.
+//     overflow is reported as Snapshot::dropped. Each thread also buffers
+//     at most 65536 samples per histogram: the merge keeps every thread's
+//     append order, so a thread's 65537th sample could never be among the
+//     first 65536 merged. Later ones are refused at record time (counted
+//     in dropped), which bounds buffer memory between scrapes without
+//     changing any kept sample.
 //
 // `Span` is a scoped wall-clock timer recording into a Histogram on
 // destruction.
@@ -73,7 +78,7 @@ struct HistogramSnapshot {
   double p95 = 0.0;
   double p99 = 0.0;
   /// Samples beyond the exact-percentile cap (bucket counts still include
-  /// them; the percentiles cover the first 65536 samples only).
+  /// them; the percentiles cover the first 65536 merged samples only).
   std::uint64_t dropped = 0;
   /// (inclusive upper bound, count) per nonzero log bucket, ascending.
   std::vector<std::pair<double, std::uint64_t>> buckets;
@@ -133,7 +138,7 @@ class Histogram {
 
  private:
   friend class Registry;
-  explicit Histogram(Registry* owner) noexcept : owner_(owner) {}
+  explicit Histogram(Registry* owner) noexcept;
 
   // Bucket 0 holds v <= 0; bucket i >= 1 holds (kBase*2^(i-2), kBase*2^(i-1)].
   static constexpr std::size_t kBuckets = 64;
@@ -142,6 +147,9 @@ class Histogram {
   static double bucket_upper_bound(std::size_t bucket) noexcept;
 
   Registry* owner_;
+  /// Process-unique; keys the per-thread buffered counts, so a histogram
+  /// allocated where a destroyed one lived starts uncapped.
+  std::uint64_t id_;
   std::array<std::atomic<std::uint64_t>, kBuckets> bucket_counts_{};
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
@@ -151,6 +159,8 @@ class Histogram {
   // only — the hot path touches per-thread buffers instead).
   std::vector<double> samples_;
   std::uint64_t dropped_ = 0;
+  /// Samples refused at record time by the per-thread cap.
+  std::atomic<std::uint64_t> refused_{0};
 };
 
 /// Scoped wall-clock timer: records elapsed seconds into the histogram

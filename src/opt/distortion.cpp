@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace poiprivacy::opt {
@@ -44,57 +43,64 @@ double mean_relative_distortion(std::span<const double> base,
   return acc / static_cast<double>(base.size());
 }
 
-DistortionSolution optimize_release(const DistortionProblem& problem) {
-  const std::size_t m = problem.base.size();
-  if (problem.rank.size() != m) {
+poi::FrequencyVector greedy_release(std::span<const double> base,
+                                    std::span<const int> rank, double beta,
+                                    std::int32_t max_injection, int max_rank) {
+  const std::size_t m = base.size();
+  if (rank.size() != m) {
     throw std::invalid_argument("optimize_release: base/rank size mismatch");
   }
-  if (problem.beta < 0.0) {
+  if (beta < 0.0) {
     throw std::invalid_argument("optimize_release: beta must be >= 0");
   }
 
-  DistortionSolution solution;
-  solution.release = rounded_base(problem.base);
-  if (m == 0) return solution;
+  poi::FrequencyVector release = rounded_base(base);
+  if (m == 0) return release;
 
   // Per-unit benefit 1/R(i); per-unit budget cost 1/(M (b_i + 1)).
-  // Greedy over descending benefit/cost = M (b_i + 1) / R(i).
-  std::vector<std::size_t> order(m);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  const auto ratio = [&problem, m](std::size_t i) {
-    const double b = std::max(0.0, problem.base[i]);
-    return static_cast<double>(m) * (b + 1.0) /
-           static_cast<double>(problem.rank[i]);
+  // Greedy over descending benefit/cost = M (b_i + 1) / R(i), restricted
+  // to the types whose cap is positive and whose rank is perturbable.
+  struct Candidate {
+    double ratio;
+    double unit_cost;
+    std::size_t index;
   };
-  std::sort(order.begin(), order.end(), [&ratio](std::size_t a, std::size_t b) {
-    const double ra = ratio(a);
-    const double rb = ratio(b);
-    if (ra != rb) return ra > rb;
-    return a < b;  // deterministic tie-break
-  });
-
-  double remaining = problem.beta * static_cast<double>(m);
-  for (const std::size_t i : order) {
-    if (remaining <= 0.0) break;
-    if (problem.max_rank > 0 && problem.rank[i] > problem.max_rank) continue;
-    const double b = std::max(0.0, problem.base[i]);
-    const double unit_cost = 1.0 / (b + 1.0);
+  std::vector<Candidate> candidates;
+  for (std::size_t i = 0; i < m; ++i) {
+    if (max_rank > 0 && rank[i] > max_rank) continue;
     // Suppress positive entries down to 0; inject into zero entries.
-    const std::int32_t cap = solution.release[i] > 0
-                                 ? solution.release[i]
-                                 : problem.max_injection;
-    if (cap <= 0) continue;
-    const auto affordable = static_cast<std::int32_t>(remaining / unit_cost);
+    if (release[i] <= 0 && max_injection <= 0) continue;
+    const double b = std::max(0.0, base[i]);
+    candidates.push_back({static_cast<double>(m) * (b + 1.0) /
+                              static_cast<double>(rank[i]),
+                          1.0 / (b + 1.0), i});
+  }
+  std::sort(candidates.begin(), candidates.end(),
+            [](const Candidate& a, const Candidate& b) {
+              if (a.ratio != b.ratio) return a.ratio > b.ratio;
+              return a.index < b.index;  // deterministic tie-break
+            });
+
+  double remaining = beta * static_cast<double>(m);
+  for (const Candidate& c : candidates) {
+    if (remaining <= 0.0) break;
+    std::int32_t& entry = release[c.index];
+    const std::int32_t cap = entry > 0 ? entry : max_injection;
+    const auto affordable = static_cast<std::int32_t>(remaining / c.unit_cost);
     const std::int32_t delta = std::min(cap, affordable);
     if (delta <= 0) continue;
-    if (solution.release[i] > 0) {
-      solution.release[i] -= delta;
-    } else {
-      solution.release[i] += delta;
-    }
-    remaining -= static_cast<double>(delta) * unit_cost;
+    entry += entry > 0 ? -delta : delta;
+    remaining -= static_cast<double>(delta) * c.unit_cost;
   }
+  return release;
+}
 
+DistortionSolution optimize_release(const DistortionProblem& problem) {
+  DistortionSolution solution;
+  solution.release =
+      greedy_release(problem.base, problem.rank, problem.beta,
+                     problem.max_injection, problem.max_rank);
+  if (problem.base.empty()) return solution;
   solution.objective = weighted_objective(problem.base, problem.rank,
                                           solution.release);
   const double base_distortion =

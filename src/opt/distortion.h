@@ -55,8 +55,21 @@ struct DistortionSolution {
   double spent_budget = 0.0;
 };
 
-/// Greedy solve of the capped problem; deterministic.
+/// Greedy solve of the capped problem; deterministic. The release comes
+/// from greedy_release(); objective and spent_budget are computed on top.
 DistortionSolution optimize_release(const DistortionProblem& problem);
+
+/// The release-only greedy core behind optimize_release(), for callers
+/// that discard the diagnostics (the serving hot path). Same parameters
+/// as DistortionProblem, taken by view so nothing is copied. Only types
+/// the greedy can change enter the sort: rank <= max_rank (when
+/// max_rank > 0) and a positive cap (rounded base > 0, or
+/// max_injection > 0). Each sort key and unit cost is computed once per
+/// candidate. Skipped types never touch the budget and the comparator is
+/// a total order, so the release is byte-identical to sorting all types.
+poi::FrequencyVector greedy_release(std::span<const double> base,
+                                    std::span<const int> rank, double beta,
+                                    std::int32_t max_injection, int max_rank);
 
 /// Objective of Eq. (7) for an arbitrary release.
 double weighted_objective(std::span<const double> base,

@@ -117,6 +117,8 @@ PoiDatabase::PoiDatabase(std::string city_name, std::vector<Poi> pois,
   for (std::size_t i = 0; i < order.size(); ++i) {
     rank_[order[i]] = static_cast<int>(i) + 1;
   }
+  rare_type_count_ =
+      static_cast<int>(types_with_city_freq_at_most(kRareCityFreq).size());
 }
 
 PoiDatabase::~PoiDatabase() = default;

@@ -105,6 +105,15 @@ class PoiDatabase {
   /// target set T_S of Section III-A).
   std::vector<TypeId> types_with_city_freq_at_most(std::int32_t threshold) const;
 
+  /// Citywide count at or below which a present type is "rare" (the
+  /// paper's aggressive sanitization threshold).
+  static constexpr std::int32_t kRareCityFreq = 10;
+
+  /// Number of rare types, types_with_city_freq_at_most(kRareCityFreq)
+  /// .size(), computed once at construction. The Eq. (9) post-processing
+  /// uses it as its rank cap (defense::postprocess_release).
+  int rare_type_count() const noexcept { return rare_type_count_; }
+
   /// All POIs of the given type.
   const std::vector<PoiId>& pois_of_type(TypeId type) const {
     return by_type_.at(type);
@@ -128,6 +137,7 @@ class PoiDatabase {
   spatial::GridIndex index_;
   FrequencyVector city_freq_;
   std::vector<int> rank_;
+  int rare_type_count_ = 0;
   std::vector<std::vector<PoiId>> by_type_;
   // Heap-allocated so the database stays movable despite the shard
   // mutexes; the pointee is mutated from const methods (it is a cache).

@@ -7,7 +7,6 @@
 
 #include "common/parallel.h"
 #include "common/stopwatch.h"
-#include "dp/discrete.h"
 #include "dp/mechanisms.h"
 #include "obs/metrics.h"
 
@@ -235,34 +234,11 @@ CloakAggregate ReleaseService::compute_aggregate(
 poi::FrequencyVector ReleaseService::noised_release(
     const defense::DpDefenseConfig& policy, const CloakAggregate& aggregate,
     common::Rng& rng) const {
-  const std::size_t m = db_->num_types();
-  const double k = static_cast<double>(aggregate.k);
-  std::vector<double> mean(m, 0.0);
-  const dp::PrivacyParams params{policy.epsilon, policy.delta};
-  for (std::size_t i = 0; i < m; ++i) {
-    double noised = aggregate.sum[i];
-    if (aggregate.sensitivity[i] > 0.0) {
-      switch (policy.noise) {
-        case defense::DpNoiseKind::kGaussian: {
-          const double sigma = dp::GaussianMechanism::calibrated_sigma(
-              params, aggregate.sensitivity[i]);
-          noised += rng.normal(0.0, sigma);
-          break;
-        }
-        case defense::DpNoiseKind::kGeometric: {
-          const dp::GeometricMechanism mech(
-              policy.epsilon,
-              static_cast<std::int64_t>(aggregate.sensitivity[i]));
-          noised = static_cast<double>(mech.perturb(
-              static_cast<std::int64_t>(std::llround(noised)), rng));
-          break;
-        }
-      }
-    }
-    mean[i] = noised / k;
-  }
-  return defense::postprocess_release(*db_, std::move(mean), policy.beta,
-                                      policy.max_injection);
+  return defense::postprocess_release(
+      *db_,
+      defense::noise_aggregate(aggregate.sum, aggregate.sensitivity,
+                               aggregate.k, policy, rng),
+      policy.beta, policy.max_injection);
 }
 
 struct ReleaseService::Admitted {

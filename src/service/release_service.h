@@ -154,10 +154,6 @@ struct ServiceConfig {
   /// dp/budget.h for the quantization contract).
   double epsilon_ceiling = 8.0;
   double delta_ceiling = 0.5;
-  /// Retained for config compatibility: the fixed-point ledger composes
-  /// basically, which is never looser than tightest-of(basic, advanced);
-  /// dp::Ledger's exact backend still offers the advanced bound offline.
-  double advanced_slack = 1e-6;
   /// Session/budget table sizing (hard memory bound; fail-closed).
   std::size_t session_capacity = 1 << 16;
   std::size_t session_shards = 64;
@@ -304,6 +300,7 @@ class ReleaseService {
                    std::vector<ReleaseResult>& results);
   void drain_queue();
   CloakAggregate compute_aggregate(const ReleaseCacheKey& key) const;
+  /// Phase F: defense::noise_aggregate, then the Eq. (9) post-processing.
   poi::FrequencyVector noised_release(const defense::DpDefenseConfig& policy,
                                       const CloakAggregate& aggregate,
                                       common::Rng& rng) const;

@@ -1,16 +1,20 @@
 // The obs metrics layer's own contracts: counters sum across threads,
 // histograms survive the empty/single/all-equal edge cases without NaN,
-// exact percentiles agree with common::percentiles, and the registry
-// hands out stable handles and renders in registration order.
+// exact percentiles agree with common::percentiles, the per-thread sample
+// cap keeps exactly the samples the uncapped merge would keep, and the
+// registry hands out stable handles and renders in registration order.
 //
 // Behavioural assertions are gated on obs::kMetricsEnabled so this suite
 // still compiles (and trivially passes) in a -DPOIPRIVACY_NO_METRICS tree.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -160,6 +164,87 @@ TEST(Histogram, SamplesBeyondCapAreDroppedButStillBucketed) {
   for (const auto& [bound, count] : snap.buckets) bucketed += count;
   EXPECT_EQ(bucketed, kTotal);
   EXPECT_DOUBLE_EQ(snap.p50, 1.0);
+}
+
+/// The merge rule the per-thread cap must preserve: concatenate each
+/// thread's samples in buffer-registration order and keep the first 65536.
+std::vector<double> first_merged(const std::vector<std::vector<double>>& runs) {
+  std::vector<double> merged;
+  for (const std::vector<double>& run : runs) {
+    for (const double v : run) {
+      if (merged.size() == 65536) return merged;
+      merged.push_back(v);
+    }
+  }
+  return merged;
+}
+
+TEST(Histogram, PerThreadCapKeepsTheMergedSamplesOfTwoThreads) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  // (first thread, second thread) sample counts: both past the cap, and
+  // one under it with the other past it. Nothing scrapes until both join.
+  for (const auto& [n_first, n_second] :
+       {std::pair<std::size_t, std::size_t>{70000, 70000}, {30000, 70000}}) {
+    obs::Registry registry;
+    obs::Histogram& hist = registry.histogram("h");
+    std::vector<double> first(n_first);
+    std::vector<double> second(n_second);
+    // Ascending runs, the first thread's all above the second's: trading
+    // any kept first-thread sample for a second-thread one shifts every
+    // order statistic, so the percentiles pin exactly which were kept.
+    for (std::size_t i = 0; i < n_first; ++i) first[i] = 1000.0 + i;
+    for (std::size_t i = 0; i < n_second; ++i) second[i] = 0.01 * i;
+    // The second thread starts recording only after the first recorded
+    // once, so the first thread's buffer is registered (and merged) first.
+    std::atomic<bool> first_registered{false};
+    std::thread a([&] {
+      hist.record(first[0]);
+      first_registered.store(true, std::memory_order_release);
+      for (std::size_t i = 1; i < first.size(); ++i) hist.record(first[i]);
+    });
+    std::thread b([&] {
+      while (!first_registered.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      for (const double v : second) hist.record(v);
+    });
+    a.join();
+    b.join();
+    const std::vector<double> kept = first_merged({first, second});
+    const common::Percentiles expected = common::percentiles(kept);
+    const obs::HistogramSnapshot snap = hist.snapshot();
+    EXPECT_EQ(snap.count, n_first + n_second);
+    EXPECT_EQ(snap.dropped, n_first + n_second - kept.size());
+    EXPECT_DOUBLE_EQ(snap.p50, expected.p50);
+    EXPECT_DOUBLE_EQ(snap.p95, expected.p95);
+    EXPECT_DOUBLE_EQ(snap.p99, expected.p99);
+    std::uint64_t bucketed = 0;
+    for (const auto& [bound, count] : snap.buckets) bucketed += count;
+    EXPECT_EQ(bucketed, n_first + n_second);
+  }
+}
+
+TEST(Histogram, RecreatedHistogramStartsUncapped) {
+  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
+  // The per-thread count is keyed by a process-unique histogram id, so a
+  // histogram built where a capped one lived (typically the same address
+  // here) does not inherit its count.
+  std::optional<obs::Registry> registry;
+  registry.emplace();
+  obs::Histogram& capped = registry->histogram("h");
+  for (int i = 0; i < 70000; ++i) capped.record(1.0);
+  EXPECT_EQ(capped.snapshot().dropped, 70000u - 65536u);
+  registry.reset();
+
+  registry.emplace();
+  obs::Histogram& fresh = registry->histogram("h");
+  std::vector<double> values;
+  for (int i = 0; i < 1000; ++i) values.push_back(2.0 + i);
+  for (const double v : values) fresh.record(v);
+  const obs::HistogramSnapshot snap = fresh.snapshot();
+  EXPECT_EQ(snap.count, values.size());
+  EXPECT_EQ(snap.dropped, 0u);
+  EXPECT_DOUBLE_EQ(snap.p50, common::percentiles(values).p50);
 }
 
 TEST(Span, RecordsElapsedSeconds) {

@@ -32,7 +32,6 @@ service::ServiceConfig two_policy_config() {
   config.degrade_policy = 1;
   config.epsilon_ceiling = 3.5;
   config.delta_ceiling = 1.0;
-  config.advanced_slack = 0.0;
   config.seed = 99;
   return config;
 }
