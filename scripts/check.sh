@@ -17,10 +17,11 @@
 #      must emit byte-identical output under the scalar and the native
 #      tier at --threads 1/2/8 — SIMD is an implementation detail,
 #      never an observable one,
-#   7. an Address+UB-Sanitizer build running the kernel, fingerprint and
-#      tile-window property suites under both the native and the scalar
-#      tier (the explicit SIMD kernels read memory in 32-byte gulps;
-#      ASan/UBSan prove the tails stay in bounds),
+#   7. an Address+UB-Sanitizer build running the kernel, fingerprint,
+#      tile-window, spatial and cloak property suites under both the
+#      native and the scalar tier (the explicit SIMD kernels read memory
+#      in 32-byte gulps, and the quadtree's exact-node descent indexes
+#      children by hand; ASan/UBSan prove both stay in bounds),
 #   8. the serving-layer concurrency gate: the session-shard stress,
 #      property and net-framing suites re-run under the ThreadSanitizer
 #      build, then a Release loopback smoke drives the TCP front-end
@@ -109,15 +110,16 @@ for threads in 1 2 8; do
   echo "poibench smoke: scalar == native tier at --threads $threads"
 done
 
-echo "== [7/11] ASan/UBSan build + kernel property suites per tier =="
+echo "== [7/11] ASan/UBSan build + kernel/spatial/cloak property suites per tier =="
 cmake -B build-asan -S . -DPOIPRIVACY_SANITIZE=address >/dev/null
-cmake --build build-asan -j "$jobs" --target \
-  kernel_property_test fingerprint_property_test tile_window_property_test
+asan_suites=(kernel_property_test fingerprint_property_test
+             tile_window_property_test spatial_property_test
+             cloak_property_test)
+cmake --build build-asan -j "$jobs" --target "${asan_suites[@]}"
 for tier in native scalar; do
   env_prefix=()
   [ "$tier" = scalar ] && env_prefix=(env POIPRIVACY_KERNEL=scalar)
-  for suite in kernel_property_test fingerprint_property_test \
-               tile_window_property_test; do
+  for suite in "${asan_suites[@]}"; do
     "${env_prefix[@]}" "./build-asan/tests/$suite" \
       --gtest_brief=1 >/dev/null
     echo "asan: $suite clean under $tier tier"

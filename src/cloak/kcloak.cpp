@@ -6,7 +6,7 @@ namespace poiprivacy::cloak {
 
 AdaptiveIntervalCloaker::AdaptiveIntervalCloaker(std::vector<geo::Point> users,
                                                  geo::BBox bounds)
-    : bounds_(bounds), users_(users), tree_(std::move(users), bounds) {}
+    : bounds_(bounds), tree_(std::move(users), bounds) {}
 
 CloakResult AdaptiveIntervalCloaker::cloak(geo::Point target,
                                            std::size_t k) const {

@@ -47,7 +47,7 @@ class AdaptiveIntervalCloaker {
                                                  std::size_t k,
                                                  common::Rng& rng) const;
 
-  std::size_t num_users() const noexcept { return users_.size(); }
+  std::size_t num_users() const noexcept { return tree_.size(); }
   const geo::BBox& bounds() const noexcept { return bounds_; }
 
  private:
@@ -57,7 +57,6 @@ class AdaptiveIntervalCloaker {
                            common::Rng& rng) const;
 
   geo::BBox bounds_;
-  std::vector<geo::Point> users_;
   spatial::Quadtree tree_;
   static constexpr int kMaxDepth = 20;
 };

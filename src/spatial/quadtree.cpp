@@ -13,6 +13,7 @@ Quadtree::Quadtree(std::vector<geo::Point> points, geo::BBox bounds,
   std::vector<std::uint32_t> ids(points_.size());
   for (std::uint32_t i = 0; i < points_.size(); ++i) ids[i] = i;
   root_ = build(bounds_, std::move(ids), 0);
+  mark_exact();
 }
 
 std::int32_t Quadtree::build(const geo::BBox& box,
@@ -48,6 +49,50 @@ std::int32_t Quadtree::build(const geo::BBox& box,
     nodes_[index].children[q] = child;
   }
   return index;
+}
+
+void Quadtree::mark_exact() {
+  // The rule relies on every split being strict, so that a cell's closed
+  // box lies inside no box outside its own ancestor chain. Cells too thin
+  // to split strictly leave every node inexact: queries then run the plain
+  // recursion from the root.
+  for (const Node& n : nodes_) {
+    if (!(n.box.min_x < n.box.max_x && n.box.min_y < n.box.max_y)) return;
+  }
+  for (Node& n : nodes_) n.exact = true;
+  for (const geo::Point& p : points_) mark_inexact(root_, p, true);
+}
+
+// Clears `exact` on each node at or below `node` whose closed box holds
+// `p` while its subtree does not, or the other way round. Only the nodes
+// on p's own path and the cells touching p along a split line are visited.
+void Quadtree::mark_inexact(std::int32_t node, geo::Point p,
+                            bool in_subtree) {
+  Node& n = nodes_[static_cast<std::size_t>(node)];
+  const bool in_box = n.box.contains(p);
+  if (in_box != in_subtree) n.exact = false;
+  if (n.is_leaf() || (!in_box && !in_subtree)) return;
+  const geo::Point c = n.box.center();
+  const int home = (p.y < c.y ? 0 : 2) + (p.x < c.x ? 0 : 1);
+  for (int q = 0; q < 4; ++q) {
+    mark_inexact(n.children[q], p, in_subtree && q == home);
+  }
+}
+
+std::int32_t Quadtree::start_node(const geo::BBox& box) const {
+  std::int32_t start = root_;
+  std::int32_t node = root_;
+  for (;;) {
+    const Node& n = nodes_[static_cast<std::size_t>(node)];
+    if (!box_contains(n.box, box)) break;
+    if (n.exact) start = node;
+    if (n.is_leaf()) break;
+    // Only the child holding the box's min corner can contain the box (a
+    // zero-width box lying on a split line fits both sides; either will do).
+    const geo::Point c = n.box.center();
+    node = n.children[(box.min_y < c.y ? 0 : 2) + (box.min_x < c.x ? 0 : 1)];
+  }
+  return start;
 }
 
 bool Quadtree::box_contains(const geo::BBox& outer, const geo::BBox& inner) {
@@ -92,13 +137,13 @@ void Quadtree::query_rec(std::int32_t node, const geo::BBox& box,
 
 std::size_t Quadtree::count_in_box(const geo::BBox& box) const {
   std::size_t acc = 0;
-  if (root_ >= 0) count_rec(root_, box, acc);
+  count_rec(start_node(box), box, acc);
   return acc;
 }
 
 std::vector<std::uint32_t> Quadtree::query_box(const geo::BBox& box) const {
   std::vector<std::uint32_t> out;
-  if (root_ >= 0) query_rec(root_, box, out);
+  query_rec(start_node(box), box, out);
   return out;
 }
 
