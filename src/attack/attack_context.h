@@ -73,7 +73,7 @@ class AttackContext {
     return db_->pois_of_type(type);
   }
 
-  /// F(poi(id).pos, radius) through the database's sharded anchor cache —
+  /// F(poi(id).pos, radius) through the database's anchor cache —
   /// the hot path of every dominance scan (same anchors probed at the
   /// same 2r for each evaluated location).
   const poi::FrequencyVector& anchor_freq(poi::PoiId id, double radius) const {

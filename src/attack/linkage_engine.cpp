@@ -203,12 +203,6 @@ void LinkageEngine::Tracker::reset() noexcept {
   started_ = false;
 }
 
-std::size_t LinkageEngine::Tracker::frontier_alive() const noexcept {
-  std::size_t n = 0;
-  for (const std::uint64_t w : union_) n += std::popcount(w);
-  return n;
-}
-
 void LinkageEngine::Tracker::remember_release(
     std::span<const std::int32_t> released, traj::TimeSec time) {
   prev_freq_.assign(released.begin(), released.end());
@@ -245,7 +239,9 @@ std::size_t LinkageEngine::Tracker::observe(
     start_stream(released, time);
     return survivors_.size();
   }
-  if (survivors_.empty()) return 0;
+  // A lone survivor is final: a step that would kill it is transparent,
+  // so neither the step estimate nor the fold can change it.
+  if (survivors_.size() <= 1) return survivors_.size();
   if (layer_.candidates.empty()) {
     // No evidence in this release; the stream stays anchored at the last
     // informative one so the next step estimate spans the gap.

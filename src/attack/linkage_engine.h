@@ -30,12 +30,14 @@
 //     bit-packed frontier of current-layer candidates it can reach
 //     through distance-consistent steps. Each new release runs one
 //     baseline inference (tile-envelope + fingerprint pruned, into
-//     reused scratch), one SVR step estimate, one block-index build, and
-//     a word-parallel frontier intersection — zero allocations per step
-//     in steady state. Survivor sets are monotone non-increasing in the
-//     number of releases by construction: a release either prunes
-//     survivors or (when it carries no evidence — an empty layer, or a
-//     step that would kill everyone) is transparent and changes nothing.
+//     reused scratch); while two or more survivors remain it also runs
+//     one SVR step estimate, one block-index build, and a word-parallel
+//     frontier intersection — zero allocations per step in steady state.
+//     Survivor sets are monotone non-increasing in the number of
+//     releases by construction: a release either prunes survivors or
+//     (when it carries no evidence — an empty layer, or a step that
+//     would kill everyone) is transparent and changes nothing. So a lone
+//     survivor is final, and the tracker skips the step work for it.
 //
 // The semantic difference between the two solvers is deliberate. The
 // backward sweep reproduces ChainAttack exactly — but its transparent
@@ -169,9 +171,6 @@ class LinkageEngine {
     }
     /// Size of the candidate layer the last observe() computed.
     std::size_t last_layer_size() const noexcept { return last_layer_size_; }
-    /// Alive candidates in the current frontier (the union of the
-    /// survivors' reachable sets).
-    std::size_t frontier_alive() const noexcept;
 
    private:
     void start_stream(std::span<const std::int32_t> released,

@@ -7,8 +7,8 @@
 #include <cassert>
 #include <mutex>
 #include <numeric>
-#include <shared_mutex>
-#include <unordered_map>
+#include <stdexcept>
+#include <string>
 
 #include "obs/metrics.h"
 
@@ -16,9 +16,9 @@ namespace poiprivacy::poi {
 
 namespace {
 
-// Registry mirrors of the anchor-cache shard atomics; process-wide, shared
+// Registry mirrors of the anchor-cache counters; process-wide, shared
 // across PoiDatabase instances. Observation only — anchor_cache_stats()
-// keeps reading the shard atomics.
+// keeps reading the cache's own cells.
 struct AnchorMetrics {
   obs::Counter& hits;
   obs::Counter& misses;
@@ -32,43 +32,80 @@ struct AnchorMetrics {
   }
 };
 
+constexpr std::size_t kCountCells = 16;
+
+// Per-thread stripe of the hit/miss cells (the obs::Counter scheme).
+std::size_t count_cell() noexcept {
+  static std::atomic<std::size_t> next{0};
+  thread_local const std::size_t cell =
+      next.fetch_add(1, std::memory_order_relaxed) % kCountCells;
+  return cell;
+}
+
 }  // namespace
 
-// Sharded read-mostly cache for anchor frequency vectors, keyed by
-// (POI id, radius bits). Sharding keeps writer contention negligible while
-// the steady state is lock-cheap shared reads. Entries are never evicted:
-// the key space is bounded by |POIs| x |query radii in a run|, and the
-// attacks probe the same few radii thousands of times each.
+// Anchor aggregates in one dense slot table per distinct radius (keyed by
+// the radius's bit pattern), each |POIs| atomic pointers indexed by POI
+// id. The tables form an append-only list whose head is published with a
+// release store; adding a radius is the only step under a lock, so a hit
+// is a short list scan plus one acquire load. Entries are never evicted:
+// the key space is |POIs| x |query radii in a run|, and the attacks probe
+// the same few radii thousands of times each.
 struct PoiDatabase::AnchorCache {
-  struct Key {
-    PoiId id;
-    std::uint64_t radius_bits;
+  using Slot = std::atomic<const AnchorAggregate*>;
 
-    friend bool operator==(const Key&, const Key&) = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      // splitmix64 finalizer over the packed key.
-      std::uint64_t z = k.radius_bits ^ (static_cast<std::uint64_t>(k.id) *
-                                         0x9e3779b97f4a7c15ULL);
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      return static_cast<std::size_t>(z ^ (z >> 31));
+  struct Table {
+    Table(std::uint64_t bits, std::size_t n, const Table* older)
+        : radius_bits(bits), next(older), slots(n) {}
+    Table(const Table&) = delete;
+    Table& operator=(const Table&) = delete;
+    ~Table() {
+      for (Slot& slot : slots) delete slot.load(std::memory_order_relaxed);
     }
+
+    const std::uint64_t radius_bits;
+    const Table* const next;  ///< the table published before this one
+    mutable std::vector<Slot> slots;  ///< by POI id; null until computed
   };
-  struct Shard {
-    std::shared_mutex mu;
-    std::unordered_map<Key, AnchorAggregate, KeyHash> entries;
+
+  struct alignas(64) CountCell {
     std::atomic<std::uint64_t> hits{0};
     std::atomic<std::uint64_t> misses{0};
   };
 
-  static constexpr std::size_t kShards = 16;
-  std::array<Shard, kShards> shards;
+  explicit AnchorCache(std::size_t num_pois) : num_pois(num_pois) {}
 
-  Shard& shard_for(const Key& key) noexcept {
-    return shards[KeyHash{}(key) % kShards];
+  static const Table* find(const Table* t, std::uint64_t bits) noexcept {
+    while (t != nullptr && t->radius_bits != bits) t = t->next;
+    return t;
   }
+
+  const Table& table_for(std::uint64_t bits) {
+    if (const Table* t = find(head.load(std::memory_order_acquire), bits)) {
+      return *t;
+    }
+    const std::lock_guard<std::mutex> lock(add_mu);
+    const Table* first = head.load(std::memory_order_relaxed);
+    if (const Table* t = find(first, bits)) return *t;
+    tables.push_back(std::make_unique<Table>(bits, num_pois, first));
+    head.store(tables.back().get(), std::memory_order_release);
+    return *tables.back();
+  }
+
+  void count_hit() noexcept {
+    cells[count_cell()].hits.fetch_add(1, std::memory_order_relaxed);
+    AnchorMetrics::get().hits.add(1);
+  }
+  void count_miss() noexcept {
+    cells[count_cell()].misses.fetch_add(1, std::memory_order_relaxed);
+    AnchorMetrics::get().misses.add(1);
+  }
+
+  const std::size_t num_pois;
+  std::atomic<const Table*> head{nullptr};
+  std::mutex add_mu;
+  std::vector<std::unique_ptr<Table>> tables;  ///< owns the list; add_mu
+  std::array<CountCell, kCountCells> cells;
 };
 
 // Lazily built tile aggregates; the once_flag lives on the heap so the
@@ -96,7 +133,7 @@ PoiDatabase::PoiDatabase(std::string city_name, std::vector<Poi> pois,
       types_(std::move(types)),
       bounds_(bounds),
       index_(positions_of(pois_), bounds),
-      anchor_cache_(std::make_unique<AnchorCache>()),
+      anchor_cache_(std::make_unique<AnchorCache>(pois_.size())),
       tile_holder_(std::make_unique<TileHolder>()) {
   city_freq_.assign(types_.size(), 0);
   by_type_.resize(types_.size());
@@ -131,43 +168,41 @@ std::vector<PoiId> PoiDatabase::query(geo::Point center, double radius) const {
 
 const AnchorAggregate& PoiDatabase::anchor_aggregate(PoiId id,
                                                      double radius) const {
-  const AnchorCache::Key key{id, std::bit_cast<std::uint64_t>(radius)};
-  AnchorCache::Shard& shard = anchor_cache_->shard_for(key);
-  {
-    std::shared_lock<std::shared_mutex> lock(shard.mu);
-    const auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-      AnchorMetrics::get().hits.add(1);
-      return it->second;
-    }
+  if (id >= pois_.size()) {
+    throw std::out_of_range("PoiDatabase::anchor_aggregate: POI id " +
+                            std::to_string(id) + " out of range");
   }
-  // Compute outside any lock (the fingerprint too, so the insertion
-  // critical section stays a move); on a concurrent double-compute the
-  // loser discards its copy and counts a hit, so misses stay equal to
-  // the number of distinct keys no matter the interleaving.
-  AnchorAggregate computed;
-  computed.freq = freq(poi(id).pos, radius);
-  computed.fp.resize(fingerprint_words(computed.freq.size()));
-  pack_fingerprint(computed.freq, computed.fp);
-  std::unique_lock<std::shared_mutex> lock(shard.mu);
-  const auto [it, inserted] =
-      shard.entries.try_emplace(key, std::move(computed));
-  if (inserted) {
-    shard.misses.fetch_add(1, std::memory_order_relaxed);
-    AnchorMetrics::get().misses.add(1);
-  } else {
-    shard.hits.fetch_add(1, std::memory_order_relaxed);
-    AnchorMetrics::get().hits.add(1);
+  AnchorCache::Slot& slot =
+      anchor_cache_->table_for(std::bit_cast<std::uint64_t>(radius))
+          .slots[id];
+  if (const AnchorAggregate* hit = slot.load(std::memory_order_acquire)) {
+    anchor_cache_->count_hit();
+    return *hit;
   }
-  return it->second;
+  // Compute outside any lock (the fingerprint too) and publish with one
+  // CAS; on a concurrent double-compute the loser frees its copy and
+  // counts a hit, so misses stay equal to the number of distinct keys no
+  // matter the interleaving.
+  auto computed = std::make_unique<AnchorAggregate>();
+  computed->freq = freq(pois_[id].pos, radius);
+  computed->fp.resize(fingerprint_words(computed->freq.size()));
+  pack_fingerprint(computed->freq, computed->fp);
+  const AnchorAggregate* expected = nullptr;
+  if (slot.compare_exchange_strong(expected, computed.get(),
+                                   std::memory_order_release,
+                                   std::memory_order_acquire)) {
+    anchor_cache_->count_miss();
+    return *computed.release();
+  }
+  anchor_cache_->count_hit();
+  return *expected;
 }
 
 AnchorCacheStats PoiDatabase::anchor_cache_stats() const noexcept {
   AnchorCacheStats stats;
-  for (const AnchorCache::Shard& shard : anchor_cache_->shards) {
-    stats.hits += shard.hits.load(std::memory_order_relaxed);
-    stats.misses += shard.misses.load(std::memory_order_relaxed);
+  for (const AnchorCache::CountCell& cell : anchor_cache_->cells) {
+    stats.hits += cell.hits.load(std::memory_order_relaxed);
+    stats.misses += cell.misses.load(std::memory_order_relaxed);
   }
   return stats;
 }

@@ -77,13 +77,15 @@ class PoiDatabase {
   const TileAggregates& tile_aggregates() const;
 
   /// Freq(poi(id).pos, radius) plus its presence fingerprint, through a
-  /// sharded, read-mostly cache. The attacks' dominance pruning probes
-  /// the same anchor POIs at the same 2r radius for every evaluated
-  /// location, so this is the hot path of the whole evaluation.
-  /// Thread-safe; entries are never evicted, so the returned reference
-  /// stays valid for the database's lifetime. A miss is counted only by
-  /// the thread that actually inserts the entry, so misses == distinct
-  /// (id, radius) keys regardless of thread count.
+  /// lock-free cache: one dense table of |POIs| atomic slots per distinct
+  /// radius, so a hit is a short scan of the radius list plus one acquire
+  /// load. The attacks' dominance pruning probes the same anchor POIs at
+  /// the same 2r radius for every evaluated location, so this is the hot
+  /// path of the whole evaluation. Thread-safe; entries are never
+  /// evicted, so the returned reference stays valid for the database's
+  /// lifetime. A miss is counted only by the thread whose CAS publishes
+  /// the entry, so misses == distinct (id, radius) keys regardless of
+  /// thread count. Throws std::out_of_range for an id >= pois().size().
   const AnchorAggregate& anchor_aggregate(PoiId id, double radius) const;
 
   /// The frequency vector alone (anchor_aggregate's freq member).
@@ -139,8 +141,9 @@ class PoiDatabase {
   std::vector<int> rank_;
   int rare_type_count_ = 0;
   std::vector<std::vector<PoiId>> by_type_;
-  // Heap-allocated so the database stays movable despite the shard
-  // mutexes; the pointee is mutated from const methods (it is a cache).
+  // Heap-allocated so the database stays movable despite the cache's
+  // atomics and mutex; the pointee is mutated from const methods (it is
+  // a cache).
   std::unique_ptr<AnchorCache> anchor_cache_;
   // Same pattern for the lazily built tile aggregates (std::once_flag is
   // not movable either).

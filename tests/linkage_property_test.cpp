@@ -272,6 +272,36 @@ TEST(LinkageProperty, TrackerMatchesForwardReferenceAndIsMonotone) {
   EXPECT_GT(pruning_steps, 25u);
 }
 
+TEST(LinkageProperty, UniqueTrackerIsFinalAndLayerSizeMatchesBaseline) {
+  std::size_t unique_then_observed = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const LinkageFixture& f = *fixtures()[seed % fixtures().size()];
+    const std::vector<TimedRelease> releases = make_releases(f, seed);
+    const RegionReidentifier reid(f.city.db);
+    LinkageEngine::Tracker tracker(*f.engine);
+    std::vector<poi::PoiId> final_survivors;
+    for (std::size_t t = 0; t < releases.size(); ++t) {
+      const bool was_unique = tracker.unique();
+      tracker.observe(releases[t].freq, releases[t].time);
+      // The layer is computed on every release, unique tracker or not.
+      ASSERT_EQ(tracker.last_layer_size(),
+                reid.infer(releases[t].freq, kRadiusKm).candidates.size())
+          << "seed " << seed << " release " << t;
+      const std::vector<poi::PoiId> got(tracker.survivors().begin(),
+                                        tracker.survivors().end());
+      if (was_unique) {
+        // A unique tracker's survivor is final.
+        ASSERT_EQ(got, final_survivors) << "seed " << seed << " release " << t;
+        ++unique_then_observed;
+      } else {
+        final_survivors = got;
+      }
+    }
+  }
+  // The corpus must reach the lone-survivor case, not pass vacuously.
+  EXPECT_GT(unique_then_observed, 25u);
+}
+
 TEST(LinkageProperty, TrackerResetReproducesFreshTracker) {
   const LinkageFixture& f = *fixtures().front();
   LinkageEngine::Tracker reused(*f.engine);

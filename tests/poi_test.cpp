@@ -1,7 +1,9 @@
 #include <algorithm>
+#include <latch>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -172,6 +174,65 @@ TEST(Database, AnchorCacheConcurrentReadsAccountForEveryLookup) {
   // matter how the threads interleave.
   EXPECT_EQ(stats.lookups(), kThreads * kLookupsPerThread);
   EXPECT_EQ(stats.misses, distinct.size());
+}
+
+TEST(Database, AnchorCacheRejectsOutOfRangeIds) {
+  const City city = make_test_city();
+  const auto n = static_cast<PoiId>(city.db.pois().size());
+  EXPECT_THROW((void)city.db.anchor_aggregate(n, 1.6), std::out_of_range);
+  EXPECT_THROW((void)city.db.anchor_freq(n + 1000, 1.6), std::out_of_range);
+  // A radius whose table already exists must not let the id through.
+  (void)city.db.anchor_freq(0, 1.6);
+  EXPECT_THROW((void)city.db.anchor_freq(n, 1.6), std::out_of_range);
+  const AnchorCacheStats stats = city.db.anchor_cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.lookups(), 1u);  // rejected ids are not lookups
+}
+
+TEST(Database, AnchorCacheRacingColdLookupsPublishOneEntryPerKey) {
+  const City city = make_test_city();
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kRounds = 5;
+  constexpr std::size_t kKeys = 24;  // distinct ids over 3 radii, all cold
+  const auto key_id = [&](std::size_t k) {
+    return static_cast<PoiId>((k * 37) % city.db.pois().size());
+  };
+  const auto key_radius = [](std::size_t k) {
+    return 0.6 + 0.5 * static_cast<double>(k % 3);
+  };
+  // seen[t][k]: the address thread t got for key k.
+  std::vector<std::vector<const AnchorAggregate*>> seen(
+      kThreads, std::vector<const AnchorAggregate*>(kKeys));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();  // every thread's first lookup is a race
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < kKeys; ++i) {
+          // Threads walk the keys from different offsets so the first
+          // touches of each key collide in varying orders.
+          const std::size_t k = (i + t * 3) % kKeys;
+          const AnchorAggregate* got =
+              &city.db.anchor_aggregate(key_id(k), key_radius(k));
+          if (round == 0) seen[t][k] = got;
+          ASSERT_EQ(got, seen[t][k]);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    for (std::size_t t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t][k], seen[0][k]) << "key " << k << " thread " << t;
+    }
+    EXPECT_EQ(seen[0][k]->freq,
+              city.db.freq(city.db.poi(key_id(k)).pos, key_radius(k)));
+  }
+  const AnchorCacheStats stats = city.db.anchor_cache_stats();
+  EXPECT_EQ(stats.misses, kKeys);
+  EXPECT_EQ(stats.lookups(), kThreads * kRounds * kKeys);
 }
 
 TEST(Database, FreqEqualsQueryHistogram) {
