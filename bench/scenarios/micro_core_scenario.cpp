@@ -24,6 +24,7 @@
 #include "poi/city_model.h"
 #include "poi/tile_aggregates.h"
 #include "scenarios/scenarios.h"
+#include "service/release_service.h"
 #include "traj/generators.h"
 
 namespace poiprivacy::bench {
@@ -292,6 +293,47 @@ int run_micro_core_json(const std::string& path, bool smoke) {
     const poi::FrequencyVector f = db.freq(location_for(++loc), r);
     keep(reid.infer(f, r));
   });
+
+  // Serving Phase F: defense::noised_release (Eq. 8 noise + Eq. 9
+  // post-processing over the support) on the aggregate a ReleaseService
+  // caches for the city-centre cloak at r = 1 km, under the serving
+  // benchmarks' interactive policy. 177 types (Beijing preset) and 272
+  // (NYC preset); each call draws from a fresh noise substream, as a
+  // served request does.
+  const auto release_bench = [&](const std::string& name,
+                                 const poi::City& city) {
+    common::Rng pop_rng(43);
+    const cloak::AdaptiveIntervalCloaker cloaker(
+        cloak::uniform_population(city.db.bounds(), 10000, pop_rng),
+        city.db.bounds());
+    service::ServiceConfig config;
+    config.policies.push_back(
+        {"interactive", {.k = 16, .epsilon = 0.5, .delta = 0.01}});
+    const service::ReleaseService gsp(city.db, cloaker, config);
+    const defense::DpDefenseConfig& policy = config.policies[0].release;
+    const geo::BBox& bounds = city.db.bounds();
+    service::ReleaseCacheKey key;
+    key.region = cloaker
+                     .cloak({0.5 * (bounds.min_x + bounds.max_x),
+                             0.5 * (bounds.min_y + bounds.max_y)},
+                            policy.k)
+                     .region;
+    key.radius = 1.0;
+    const service::CloakAggregate aggregate = gsp.compute_aggregate(key);
+    const common::Rng noise_base(99);
+    std::uint64_t call = 0;
+    emit_bench(json, name, kernel_reps, kernel_iters / 10 + 1, [&] {
+      common::Rng rng = noise_base.substream(call++);
+      const poi::FrequencyVector release = defense::noised_release(
+          aggregate.sum, aggregate.sensitivity, aggregate.support,
+          aggregate.k, policy, city.db.infrequency_rank(),
+          city.db.rare_type_count(), rng);
+      keep(release.data());
+    });
+  };
+  release_bench("dp_release_177", beijing());
+  release_bench("dp_release_272",
+                poi::generate_city(poi::nyc_preset(), 42));
 
   // Linkage-engine primitives (attack/linkage_engine.h): index build over
   // a large candidate layer, the per-tile envelope annulus prune, and a

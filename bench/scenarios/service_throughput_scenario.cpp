@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/alloc_count.h"
 #include "common/stats.h"
 #include "common/stopwatch.h"
 #include "eval/json.h"
@@ -36,6 +37,39 @@
 namespace poiprivacy::bench {
 
 namespace {
+
+constexpr std::uint64_t kReleaseAllocCalls = 64;
+
+/// Heap allocations made by kReleaseAllocCalls defense::noised_release
+/// calls on the aggregate the service caches for the city-centre cloak
+/// under policy 0 at r = 1 km, after one warm-up call has sized the
+/// per-thread scratch.
+std::uint64_t release_allocations(const service::ReleaseService& gsp,
+                                  const poi::PoiDatabase& db,
+                                  const cloak::AdaptiveIntervalCloaker& cloaker,
+                                  std::uint64_t seed) {
+  const defense::DpDefenseConfig& policy = gsp.config().policies[0].release;
+  const geo::BBox& bounds = db.bounds();
+  service::ReleaseCacheKey key;
+  key.region = cloaker
+                   .cloak({0.5 * (bounds.min_x + bounds.max_x),
+                           0.5 * (bounds.min_y + bounds.max_y)},
+                          policy.k)
+                   .region;
+  key.radius = 1.0;
+  const service::CloakAggregate aggregate = gsp.compute_aggregate(key);
+  const common::Rng noise_base(seed);
+  std::uint64_t allocs = 0;
+  for (std::uint64_t call = 0; call <= kReleaseAllocCalls; ++call) {
+    common::Rng rng = noise_base.substream(call);
+    const std::uint64_t before = common::thread_allocation_count();
+    const poi::FrequencyVector release = defense::noised_release(
+        aggregate.sum, aggregate.sensitivity, aggregate.support, aggregate.k,
+        policy, db.infrequency_rank(), db.rare_type_count(), rng);
+    if (call > 0) allocs += common::thread_allocation_count() - before;
+  }
+  return allocs;
+}
 
 int run(const eval::BenchOptions& options) {
   const std::uint64_t seed = options.seed;
@@ -205,6 +239,21 @@ int run(const eval::BenchOptions& options) {
       }
     }
   }
+
+  // Phase F allocation gate: on a steady-state hot aggregate, the release
+  // routine allocates exactly its response. Only binaries that link the
+  // counting allocator (poibench) can see allocations; elsewhere the
+  // count stays 0 and the check is skipped.
+  const std::uint64_t release_allocs =
+      release_allocations(gsp, city.db, cloaker, seed);
+  if (common::allocation_counting_active() &&
+      release_allocs != kReleaseAllocCalls) {
+    std::cerr << "service_throughput: release alloc check FAIL ("
+              << release_allocs << " allocations in " << kReleaseAllocCalls
+              << " hot calls)\n";
+    return 1;
+  }
+
   const common::Percentiles latency = common::percentiles(latencies_ms);
   const service::ServiceStats stats =
       connections == 0 ? gsp.stats() : gsp.concurrent_stats();
@@ -276,6 +325,9 @@ int run(const eval::BenchOptions& options) {
     }
     json.end_array();
   }
+  json.field("release_allocs_per_call",
+             static_cast<double>(release_allocs) /
+                 static_cast<double>(kReleaseAllocCalls));
   json.field("users_seen", static_cast<std::uint64_t>(gsp.num_users()));
   json.field("batches", stats.batches);
   json.end_object();

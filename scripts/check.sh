@@ -17,15 +17,19 @@
 #      must emit byte-identical output under the scalar and the native
 #      tier at --threads 1/2/8 — SIMD is an implementation detail,
 #      never an observable one,
-#   7. an Address+UB-Sanitizer build running the kernel, fingerprint,
-#      tile-window, spatial and cloak property suites under both the
-#      native and the scalar tier (the explicit SIMD kernels read memory
-#      in 32-byte gulps, and the quadtree's exact-node descent indexes
-#      children by hand; ASan/UBSan prove both stay in bounds),
+#   7. an Address+UB-Sanitizer build (float-cast-overflow included)
+#      running the kernel, fingerprint, tile-window, spatial, cloak and
+#      release property suites under both the native and the scalar tier
+#      (the explicit SIMD kernels read memory in 32-byte gulps, the
+#      quadtree's exact-node descent indexes children by hand, and the
+#      release rounding casts doubles to integers; ASan/UBSan prove all
+#      three stay in bounds),
 #   8. the serving-layer concurrency gate: the session-shard stress,
 #      property and net-framing suites re-run under the ThreadSanitizer
 #      build, then a Release loopback smoke drives the TCP front-end
-#      (poibench --connections) and asserts every request came back,
+#      (poibench --connections) and asserts every request came back, and
+#      an in-process --threads 1 run asserts that a steady-state hot
+#      release allocates exactly its response,
 #   9. the linkage-engine gate: the linkage_100k smoke must be
 #      byte-identical at --threads 1/2/8 (the per-user streaming loop is
 #      an ordered reduction, so the thread count must never be
@@ -114,7 +118,7 @@ echo "== [7/11] ASan/UBSan build + kernel/spatial/cloak property suites per tier
 cmake -B build-asan -S . -DPOIPRIVACY_SANITIZE=address >/dev/null
 asan_suites=(kernel_property_test fingerprint_property_test
              tile_window_property_test spatial_property_test
-             cloak_property_test)
+             cloak_property_test release_property_test)
 cmake --build build-asan -j "$jobs" --target "${asan_suites[@]}"
 for tier in native scalar; do
   env_prefix=()
@@ -149,6 +153,17 @@ print('loopback smoke:', doc['served'], 'requests served over',
       doc['connections'], 'connections,', doc['status'])
 "
 rm -f "$loopback_json"
+alloc_json="$(mktemp)"
+./build-release/bench/poibench --scenario service_throughput \
+  --users 50 --requests 5 --seed 4242 --threads 1 2>/dev/null > "$alloc_json"
+python3 -c "
+import json
+with open('$alloc_json') as f:
+    doc = json.load(f)
+assert doc['release_allocs_per_call'] == 1, doc['release_allocs_per_call']
+print('release alloc check: one allocation (the response) per hot release')
+"
+rm -f "$alloc_json"
 
 echo "== [9/11] linkage engine: smoke identity at --threads 1/2/8 + TSan property suite =="
 linkage_ref="$(mktemp)"

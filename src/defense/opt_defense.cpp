@@ -8,6 +8,47 @@
 
 namespace poiprivacy::defense {
 
+namespace {
+
+/// The one Eq. (8) noising loop behind noise_aggregate and
+/// noised_release: visits the n types type_at(0) < type_at(1) < ... and
+/// hands emit(j, mean) each one's noised mean. The Gaussian factor
+/// sqrt(2 ln(1.25/delta)) is hoisted out of the loop; each sigma is still
+/// (factor * Delta_i) / eps, calibrated_sigma's evaluation order, so every
+/// draw is bit-identical to calling it.
+template <typename TypeAt, typename Emit>
+void noise_types(std::size_t n, TypeAt type_at, std::span<const double> sum,
+                 std::span<const double> sensitivity, std::size_t k,
+                 const DpDefenseConfig& policy, common::Rng& rng,
+                 Emit emit) {
+  const bool gaussian = policy.noise == DpNoiseKind::kGaussian;
+  double factor = 0.0;
+  if (gaussian) {
+    factor = dp::GaussianMechanism::delta_factor(
+        {policy.epsilon, policy.delta});
+  } else if (policy.epsilon <= 0.0) {
+    throw std::invalid_argument("geometric mechanism: epsilon must be > 0");
+  }
+  const double kd = static_cast<double>(k);
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::size_t i = type_at(j);
+    double noised = sum[i];
+    if (sensitivity[i] > 0.0) {
+      if (gaussian) {
+        noised += rng.normal(0.0, factor * sensitivity[i] / policy.epsilon);
+      } else {
+        const dp::GeometricMechanism mech(
+            policy.epsilon, static_cast<std::int64_t>(sensitivity[i]));
+        noised = static_cast<double>(mech.perturb(
+            static_cast<std::int64_t>(std::llround(noised)), rng));
+      }
+    }
+    emit(j, noised / kd);
+  }
+}
+
+}  // namespace
+
 poi::FrequencyVector postprocess_release(const poi::PoiDatabase& db,
                                          std::span<const double> base,
                                          double beta,
@@ -23,8 +64,10 @@ poi::FrequencyVector OptimizationDefense::release(
       max_injection_);
 }
 
-std::vector<double> DpDefense::noised_mean(geo::Point location, double r,
-                                           common::Rng& rng) const {
+std::size_t DpDefense::dummy_aggregate(geo::Point location, double r,
+                                       common::Rng& rng,
+                                       std::vector<double>& sum,
+                                       std::vector<double>& sensitivity) const {
   const std::vector<geo::Point> dummies =
       cloaker_->dummy_locations(location, config_.k, rng);
   // Shared per-thread scratch (see poi::scratch_arena): the k dummy
@@ -39,8 +82,8 @@ std::vector<double> DpDefense::noised_mean(geo::Point location, double r,
   // additions still happen in ascending dummy order, so the floating-point
   // sums (and hence the noise draws) are bit-identical to the old
   // column-major loop.
-  std::vector<double> sum(m, 0.0);
-  std::vector<double> sensitivity(m, 0.0);  // Delta_i = max_d F_d[i]
+  sum.assign(m, 0.0);
+  sensitivity.assign(m, 0.0);  // Delta_i = max_d F_d[i]
   for (std::size_t d = 0; d < arena.rows(); ++d) {
     const std::span<const std::int32_t> row = arena.row(d);
     for (std::size_t i = 0; i < m; ++i) {
@@ -49,7 +92,15 @@ std::vector<double> DpDefense::noised_mean(geo::Point location, double r,
           std::max(sensitivity[i], static_cast<double>(row[i]));
     }
   }
-  return noise_aggregate(sum, sensitivity, dummies.size(), config_, rng);
+  return dummies.size();
+}
+
+std::vector<double> DpDefense::noised_mean(geo::Point location, double r,
+                                           common::Rng& rng) const {
+  std::vector<double> sum;
+  std::vector<double> sensitivity;
+  const std::size_t k = dummy_aggregate(location, r, rng, sum, sensitivity);
+  return noise_aggregate(sum, sensitivity, k, config_, rng);
 }
 
 std::vector<double> noise_aggregate(std::span<const double> sum,
@@ -57,40 +108,57 @@ std::vector<double> noise_aggregate(std::span<const double> sum,
                                     std::size_t k,
                                     const DpDefenseConfig& policy,
                                     common::Rng& rng) {
-  const bool gaussian = policy.noise == DpNoiseKind::kGaussian;
-  // The Gaussian factor sqrt(2 ln(1.25/delta)) is hoisted out of the loop;
-  // each sigma is still (factor * Delta_i) / eps, calibrated_sigma's
-  // evaluation order, so every draw is bit-identical to calling it.
-  double factor = 0.0;
-  if (gaussian) {
-    factor = dp::GaussianMechanism::delta_factor(
-        {policy.epsilon, policy.delta});
-  } else if (policy.epsilon <= 0.0) {
-    throw std::invalid_argument("geometric mechanism: epsilon must be > 0");
-  }
-  const double kd = static_cast<double>(k);
   std::vector<double> mean(sum.size());
-  for (std::size_t i = 0; i < sum.size(); ++i) {
-    double noised = sum[i];
-    if (sensitivity[i] > 0.0) {
-      if (gaussian) {
-        noised += rng.normal(0.0, factor * sensitivity[i] / policy.epsilon);
-      } else {
-        const dp::GeometricMechanism mech(
-            policy.epsilon, static_cast<std::int64_t>(sensitivity[i]));
-        noised = static_cast<double>(mech.perturb(
-            static_cast<std::int64_t>(std::llround(noised)), rng));
-      }
-    }
-    mean[i] = noised / kd;
-  }
+  noise_types(
+      sum.size(), [](std::size_t j) { return j; }, sum, sensitivity, k,
+      policy, rng, [&mean](std::size_t j, double v) { mean[j] = v; });
   return mean;
+}
+
+std::vector<poi::TypeId> aggregate_support(
+    std::span<const double> sum, std::span<const double> sensitivity) {
+  const auto in_support = [&](std::size_t i) {
+    return sum[i] != 0.0 || sensitivity[i] > 0.0;
+  };
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < sum.size(); ++i) count += in_support(i);
+  std::vector<poi::TypeId> support;
+  support.reserve(count);
+  for (std::size_t i = 0; i < sum.size(); ++i) {
+    if (in_support(i)) support.push_back(static_cast<poi::TypeId>(i));
+  }
+  return support;
+}
+
+poi::FrequencyVector noised_release(std::span<const double> sum,
+                                    std::span<const double> sensitivity,
+                                    std::span<const poi::TypeId> support,
+                                    std::size_t k,
+                                    const DpDefenseConfig& policy,
+                                    std::span<const int> rank, int max_rank,
+                                    common::Rng& rng) {
+  // Per-thread buffer for the support's noised means (the
+  // poi::scratch_arena pattern), consumed by the greedy below.
+  thread_local std::vector<double> mean;
+  mean.resize(support.size());
+  noise_types(
+      support.size(), [support](std::size_t j) { return support[j]; }, sum,
+      sensitivity, k, policy, rng,
+      [](std::size_t j, double v) { mean[j] = v; });
+  poi::FrequencyVector release(sum.size());
+  opt::greedy_release_sparse(support, mean, rank, policy.beta,
+                             policy.max_injection, max_rank, release);
+  return release;
 }
 
 poi::FrequencyVector DpDefense::release(geo::Point location, double r,
                                         common::Rng& rng) const {
-  return postprocess_release(*db_, noised_mean(location, r, rng),
-                             config_.beta, config_.max_injection);
+  std::vector<double> sum;
+  std::vector<double> sensitivity;
+  const std::size_t k = dummy_aggregate(location, r, rng, sum, sensitivity);
+  return noised_release(sum, sensitivity, aggregate_support(sum, sensitivity),
+                        k, config_, db_->infrequency_rank(),
+                        db_->rare_type_count(), rng);
 }
 
 }  // namespace poiprivacy::defense

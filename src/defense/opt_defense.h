@@ -84,11 +84,34 @@ struct DpDefenseConfig {
 /// it is 0), divided by k. Gaussian noise uses Definition 2's sigma;
 /// geometric noise perturbs the rounded sum. (eps, delta) are validated
 /// once per call: throws std::invalid_argument if they are ill-formed for
-/// `policy.noise`.
+/// `policy.noise`. The dense form of noised_release's noise: both run one
+/// noising loop, in ascending type order.
 std::vector<double> noise_aggregate(std::span<const double> sum,
                                     std::span<const double> sensitivity,
                                     std::size_t k,
                                     const DpDefenseConfig& policy,
+                                    common::Rng& rng);
+
+/// The support of an aggregate: the ascending type ids i with
+/// sum[i] != 0 or sensitivity[i] > 0. Off the support the noised mean is
+/// a draw-free +-0 and the release entry is 0 (DESIGN.md 4e, Phase F).
+std::vector<poi::TypeId> aggregate_support(
+    std::span<const double> sum, std::span<const double> sensitivity);
+
+/// One private release, Eq. (8) then Eq. (9), touching only `support`
+/// (see aggregate_support): the noise draws run over the support in
+/// ascending order, the Eq. (9) greedy over the support's candidates
+/// (plus the zero types of rank <= max_rank when max_injection > 0).
+/// Byte-identical to opt::greedy_release(noise_aggregate(sum,
+/// sensitivity, k, policy, rng), rank, policy.beta, policy.max_injection,
+/// max_rank), and leaves `rng` in the same state. The returned vector is
+/// the only steady-state heap allocation.
+poi::FrequencyVector noised_release(std::span<const double> sum,
+                                    std::span<const double> sensitivity,
+                                    std::span<const poi::TypeId> support,
+                                    std::size_t k,
+                                    const DpDefenseConfig& policy,
+                                    std::span<const int> rank, int max_rank,
                                     common::Rng& rng);
 
 class DpDefense {
@@ -109,6 +132,12 @@ class DpDefense {
   const DpDefenseConfig& config() const noexcept { return config_; }
 
  private:
+  /// Draws the k dummies around `location` and fills the per-type sum and
+  /// sensitivity of their frequency vectors; returns k.
+  std::size_t dummy_aggregate(geo::Point location, double r,
+                              common::Rng& rng, std::vector<double>& sum,
+                              std::vector<double>& sensitivity) const;
+
   const poi::PoiDatabase* db_;
   const cloak::AdaptiveIntervalCloaker* cloaker_;
   DpDefenseConfig config_;

@@ -21,6 +21,9 @@
 //     of the capped problem.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -55,6 +58,18 @@ struct DistortionSolution {
   double spent_budget = 0.0;
 };
 
+/// The rounded-base entry of x: max(0, x) rounded half away from zero,
+/// exactly static_cast<int32_t>(std::llround(std::max(0.0, x))) for
+/// every double (NaN, -0.0 and +-inf included). Below 2^31 the rounding
+/// is inline: truncation is exact there, and so is the fraction b - t.
+inline std::int32_t rounded_entry(double x) noexcept {
+  const double b = std::max(0.0, x);
+  if (!(b < 0x1p31)) return static_cast<std::int32_t>(std::llround(b));
+  auto t = static_cast<std::int64_t>(b);
+  t += b - static_cast<double>(t) >= 0.5;
+  return static_cast<std::int32_t>(t);
+}
+
 /// Greedy solve of the capped problem; deterministic. The release comes
 /// from greedy_release(); objective and spent_budget are computed on top.
 DistortionSolution optimize_release(const DistortionProblem& problem);
@@ -70,6 +85,20 @@ DistortionSolution optimize_release(const DistortionProblem& problem);
 poi::FrequencyVector greedy_release(std::span<const double> base,
                                     std::span<const int> rank, double beta,
                                     std::int32_t max_injection, int max_rank);
+
+/// greedy_release for an m-type base that is 0 outside `support`: the
+/// ascending type ids support[j] carry base entries support_base[j].
+/// `release` holds m zeros on entry and the release on return. Runs the
+/// same greedy as greedy_release over the same candidates, so the result
+/// is byte-identical to greedy_release on the dense base. The work is
+/// O(|support|) unless max_injection > 0, which also makes every zero
+/// type of rank <= max_rank a candidate. Candidates live in a per-thread
+/// buffer, so a steady-state call allocates nothing.
+void greedy_release_sparse(std::span<const poi::TypeId> support,
+                           std::span<const double> support_base,
+                           std::span<const int> rank, double beta,
+                           std::int32_t max_injection, int max_rank,
+                           std::span<std::int32_t> release);
 
 /// Objective of Eq. (7) for an arbitrary release.
 double weighted_objective(std::span<const double> base,

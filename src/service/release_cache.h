@@ -5,11 +5,12 @@
 //   (1) cloak the requester into a k-anonymous quadrant,
 //   (2) average the frequency vectors of k dummy locations in it,
 //   (3) add per-dimension noise and post-process (Eq. 8-9).
-// Step (2) costs k range queries over the POI database; steps (3) are
-// O(M). The cache keys step (2) on (cloaked region, radius, policy): the
-// canonical dummy set is drawn from the region itself with an RNG derived
-// from the key (see ReleaseService), so the aggregate is a pure function
-// of the key and any two users cloaked into the same quadrant share it.
+// Step (2) costs k range queries over the POI database; step (3) costs
+// O(|support|), the types the k dummies saw at all. The cache keys step
+// (2) on (cloaked region, radius, policy): the canonical dummy set is
+// drawn from the region itself with an RNG derived from the key (see
+// ReleaseService), so the aggregate is a pure function of the key and
+// any two users cloaked into the same quadrant share it.
 //
 // Unlike the PoiDatabase anchor cache (unbounded, read-mostly), release
 // traffic has an unbounded key space — every (region, radius, policy)
@@ -46,6 +47,7 @@
 
 #include "geo/geometry.h"
 #include "obs/metrics.h"
+#include "poi/poi.h"
 
 namespace poiprivacy::service {
 
@@ -76,13 +78,17 @@ struct ReleaseCacheKey {
 
 /// The cached step-(2) result: per-type sums and sensitivities over the
 /// region's k canonical dummy locations (sensitivity_i = max_d F_d[i],
-/// the Gaussian mechanism's per-dimension calibration). Stream blocks
-/// (key kind 1) reuse the container: `sum` holds the raw window-major
-/// per-series counts, `sensitivity` the single stream sensitivity, and
-/// `k` the series count.
+/// the Gaussian mechanism's per-dimension calibration), plus their
+/// support (defense::aggregate_support: the ascending types with
+/// sum != 0 or sensitivity > 0), built once per miss so every hit noises
+/// and post-processes only those types. Stream blocks (key kind 1) reuse
+/// the container: `sum` holds the raw window-major per-series counts,
+/// `sensitivity` the single stream sensitivity, `k` the series count,
+/// and `support` stays empty.
 struct CloakAggregate {
   std::vector<double> sum;
   std::vector<double> sensitivity;
+  std::vector<poi::TypeId> support;
   std::size_t k = 0;
 };
 

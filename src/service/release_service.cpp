@@ -228,17 +228,18 @@ CloakAggregate ReleaseService::compute_aggregate(
           std::max(aggregate.sensitivity[i], static_cast<double>(row[i]));
     }
   }
+  aggregate.support =
+      defense::aggregate_support(aggregate.sum, aggregate.sensitivity);
   return aggregate;
 }
 
 poi::FrequencyVector ReleaseService::noised_release(
     const defense::DpDefenseConfig& policy, const CloakAggregate& aggregate,
     common::Rng& rng) const {
-  return defense::postprocess_release(
-      *db_,
-      defense::noise_aggregate(aggregate.sum, aggregate.sensitivity,
-                               aggregate.k, policy, rng),
-      policy.beta, policy.max_injection);
+  return defense::noised_release(aggregate.sum, aggregate.sensitivity,
+                                 aggregate.support, aggregate.k, policy,
+                                 db_->infrequency_rank(),
+                                 db_->rare_type_count(), rng);
 }
 
 struct ReleaseService::Admitted {

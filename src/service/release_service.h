@@ -279,6 +279,12 @@ class ReleaseService {
 
   const ServiceConfig& config() const noexcept { return config_; }
 
+  /// The aggregate the cache holds for a kind-0 `key`: the sums,
+  /// sensitivities and support over the key region's k canonical dummies.
+  /// A pure function of the key (the dummy draw seeds from its hash), so
+  /// recomputing it anywhere reproduces the cached value bit for bit.
+  CloakAggregate compute_aggregate(const ReleaseCacheKey& key) const;
+
  private:
   struct Admitted;
   struct ConcurrentCounters {
@@ -299,8 +305,8 @@ class ReleaseService {
   void serve_batch(std::span<const ReleaseRequest> requests,
                    std::vector<ReleaseResult>& results);
   void drain_queue();
-  CloakAggregate compute_aggregate(const ReleaseCacheKey& key) const;
-  /// Phase F: defense::noise_aggregate, then the Eq. (9) post-processing.
+  /// Phase F: defense::noised_release, the Eq. (8) noise and the Eq. (9)
+  /// post-processing over the aggregate's support only.
   poi::FrequencyVector noised_release(const defense::DpDefenseConfig& policy,
                                       const CloakAggregate& aggregate,
                                       common::Rng& rng) const;

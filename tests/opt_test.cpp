@@ -1,5 +1,7 @@
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -204,6 +206,49 @@ TEST(Optimize, GreedyMatchesBruteForceOnSuppressOnlyInstances) {
     EXPECT_GE(greedy.objective, 0.95 * best - 1e-9)
         << "trial " << trial << " greedy=" << greedy.objective
         << " brute=" << best;
+  }
+}
+
+TEST(RoundedEntry, MatchesLlroundOfClampedValue) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double cases[] = {
+      0.0,
+      -0.0,
+      0.5,
+      1.5,
+      2.5,
+      std::nextafter(0.5, 0.0),
+      0.49999999999999994,
+      -0.5,
+      -2.5,
+      3.4999999999999996,
+      0x1p31 - 1.0,
+      0x1p31 - 0.5,
+      0x1p31,
+      0x1p31 + 1.0,
+      0x1p52 - 0.5,
+      0x1p52 + 0.5,
+      0x1p63,
+      1e300,
+      std::numeric_limits<double>::quiet_NaN(),
+      inf,
+      -inf,
+  };
+  for (const double x : cases) {
+    const auto want =
+        static_cast<std::int32_t>(std::llround(std::max(0.0, x)));
+    EXPECT_EQ(rounded_entry(x), want) << "x = " << x;
+  }
+  common::Rng rng(11);
+  for (int i = 0; i < 100000; ++i) {
+    // Halves, their neighbours and plain reals, up to 2^32.
+    const double half = static_cast<double>(rng.uniform_int(0, 1 << 20)) + 0.5;
+    const double x = i % 3 == 0   ? half
+                     : i % 3 == 1 ? std::nextafter(half, i % 2 ? 0.0 : inf)
+                                  : rng.uniform(-4.0, 0x1p32);
+    const auto want =
+        static_cast<std::int32_t>(std::llround(std::max(0.0, x)));
+    ASSERT_EQ(rounded_entry(x), want) << "x = " << x;
   }
 }
 

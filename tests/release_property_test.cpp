@@ -8,7 +8,16 @@
 //   * defense::postprocess_release on a generated city against the same
 //     oracle fed the rank vector and a freshly scanned rare-tail cap;
 //   * defense::noise_aggregate against the per-type calibrated_sigma /
-//     GeometricMechanism loop, for both noise kinds.
+//     GeometricMechanism loop, for both noise kinds;
+//   * defense::noised_release, the support-only Eq. (8)-(9) release,
+//     against that noising oracle fed into the full-sort greedy over the
+//     dense noised mean, over 200 seeds: M in {1, 177, 272, 300}, support
+//     edge cases (sum != 0 with zero sensitivity, positive sensitivity
+//     with zero sum, all-zero aggregates), both noise kinds,
+//     max_injection 0..2 and max_rank 0 or partial. The RNG must also be
+//     left in the same state (same number of draws);
+//   * DpDefense::release against noised_mean followed by
+//     postprocess_release on a generated city.
 //
 // Every comparison is exact: releases, objectives and noised means must
 // be bit-identical.
@@ -20,6 +29,7 @@
 #include <numeric>
 #include <vector>
 
+#include "cloak/kcloak.h"
 #include "common/rng.h"
 #include "defense/opt_defense.h"
 #include "dp/discrete.h"
@@ -89,6 +99,19 @@ bool same_bits(double a, double b) {
   return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
+/// A random permutation of 1..m, as PoiDatabase::infrequency_rank hands
+/// out.
+std::vector<int> random_ranks(std::size_t m, common::Rng& rng) {
+  std::vector<int> rank(m);
+  std::iota(rank.begin(), rank.end(), 1);
+  for (std::size_t i = m; i > 1; --i) {
+    std::swap(rank[i - 1],
+              rank[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  }
+  return rank;
+}
+
 /// A random instance. Ranks are a permutation of 1..M, as the database
 /// hands out. About a third of the types get base c * R - 1 for one shared
 /// c, so their ratios M (b + 1) / R tie exactly and the index tie-break
@@ -98,13 +121,7 @@ opt::DistortionProblem random_problem(std::uint64_t seed) {
   common::Rng rng(seed);
   opt::DistortionProblem p;
   const auto m = static_cast<std::size_t>(rng.uniform_int(1, 300));
-  p.rank.resize(m);
-  std::iota(p.rank.begin(), p.rank.end(), 1);
-  for (std::size_t i = m; i > 1; --i) {
-    std::swap(p.rank[i - 1],
-              p.rank[static_cast<std::size_t>(
-                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
-  }
+  p.rank = random_ranks(m, rng);
   const double tie_ratio = static_cast<double>(rng.uniform_int(1, 3));
   p.base.resize(m);
   for (std::size_t i = 0; i < m; ++i) {
@@ -251,6 +268,109 @@ TEST(NoiseAggregate, MatchesPerTypeCalibrationBitForBit) {
           << "seed " << seed << " type " << i;
     }
     EXPECT_EQ(a(), b()) << "seed " << seed;
+  }
+}
+
+TEST(NoisedRelease, MatchesDenseOracleOver200Seeds) {
+  constexpr std::size_t kSizes[] = {1, 177, 272, 300};
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    common::Rng gen(9000 + seed);
+    const std::size_t m = kSizes[seed % 4];
+    const auto k = static_cast<std::size_t>(gen.uniform_int(1, 40));
+    std::vector<double> sum(m, 0.0);
+    std::vector<double> sensitivity(m, 0.0);
+    // Every tenth aggregate is all zero; the rest are mostly zero (the
+    // serving regime) with the support's edge cases mixed in.
+    if (seed % 10 != 0) {
+      for (std::size_t i = 0; i < m; ++i) {
+        switch (gen.uniform_int(0, 7)) {
+          case 0:  // an ordinary counted type
+            sensitivity[i] = static_cast<double>(gen.uniform_int(1, 9));
+            sum[i] = sensitivity[i] * static_cast<double>(gen.uniform_int(1, 5));
+            break;
+          case 1:  // sum != 0 but zero sensitivity: no draw, mean sum / k
+            sum[i] = gen.bernoulli(0.5)
+                         ? static_cast<double>(gen.uniform_int(1, 6)) + 0.5
+                         : gen.uniform(-3.0, 8.0);
+            break;
+          case 2:  // positive sensitivity but zero sum: a draw around 0
+            sensitivity[i] = static_cast<double>(gen.uniform_int(1, 4));
+            break;
+          default:
+            break;
+        }
+      }
+    }
+    const std::vector<int> rank = random_ranks(m, gen);
+    const int max_rank =
+        gen.bernoulli(0.5)
+            ? 0
+            : static_cast<int>(
+                  gen.uniform_int(1, static_cast<std::int64_t>(m)));
+    defense::DpDefenseConfig policy;
+    policy.k = k;
+    policy.epsilon = gen.uniform(0.05, 4.0);
+    policy.delta = gen.uniform(1e-6, 0.5);
+    policy.noise = gen.bernoulli(0.5) ? defense::DpNoiseKind::kGaussian
+                                      : defense::DpNoiseKind::kGeometric;
+    policy.beta = gen.uniform(0.0, 0.3);
+    policy.max_injection = static_cast<std::int32_t>(gen.uniform_int(0, 2));
+
+    const std::vector<poi::TypeId> support =
+        defense::aggregate_support(sum, sensitivity);
+    std::vector<poi::TypeId> want_support;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (sum[i] != 0.0 || sensitivity[i] > 0.0) {
+        want_support.push_back(static_cast<poi::TypeId>(i));
+      }
+    }
+    ASSERT_EQ(support, want_support) << "seed " << seed;
+
+    common::Rng a(seed);
+    common::Rng b(seed);
+    const poi::FrequencyVector got = defense::noised_release(
+        sum, sensitivity, support, k, policy, rank, max_rank, a);
+    opt::DistortionProblem dense;
+    dense.base = oracle_noised_mean(sum, sensitivity, k, policy, b);
+    dense.rank = rank;
+    dense.beta = policy.beta;
+    dense.max_injection = policy.max_injection;
+    dense.max_rank = max_rank;
+    EXPECT_EQ(got, oracle_optimize(dense).release) << "seed " << seed;
+    // Same draws: the generators continue identically, spare normal
+    // included.
+    EXPECT_EQ(a.uniform(), b.uniform()) << "seed " << seed;
+    EXPECT_EQ(a.normal(), b.normal()) << "seed " << seed;
+  }
+}
+
+TEST(NoisedRelease, DpDefenseMatchesNoisedMeanThenPostprocess) {
+  const poi::City city = poi::generate_city(poi::test_preset(), 7);
+  const poi::PoiDatabase& db = city.db;
+  common::Rng pop_rng(3);
+  const cloak::AdaptiveIntervalCloaker cloaker(
+      cloak::uniform_population(db.bounds(), 2000, pop_rng), db.bounds());
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    defense::DpDefenseConfig config;
+    config.k = 4 + seed % 8;
+    config.noise = seed % 2 == 0 ? defense::DpNoiseKind::kGaussian
+                                 : defense::DpNoiseKind::kGeometric;
+    config.max_injection = static_cast<std::int32_t>(seed % 3);
+    config.beta = 0.01 * static_cast<double>(seed % 5);
+    const defense::DpDefense dp(db, cloaker, config);
+    common::Rng where(seed);
+    const geo::Point location{
+        where.uniform(db.bounds().min_x, db.bounds().max_x),
+        where.uniform(db.bounds().min_y, db.bounds().max_y)};
+    const double r = 0.5 + 0.5 * static_cast<double>(seed % 4);
+    common::Rng a(100 + seed);
+    common::Rng b(100 + seed);
+    const poi::FrequencyVector got = dp.release(location, r, a);
+    const poi::FrequencyVector want = defense::postprocess_release(
+        db, dp.noised_mean(location, r, b), config.beta,
+        config.max_injection);
+    EXPECT_EQ(got, want) << "seed " << seed;
+    EXPECT_EQ(a.uniform(), b.uniform()) << "seed " << seed;
   }
 }
 
