@@ -335,6 +335,40 @@ int run_micro_core_json(const std::string& path, bool smoke) {
   release_bench("dp_release_272",
                 poi::generate_city(poi::nyc_preset(), 42));
 
+  // Serving Phase D: ReleaseService::compute_aggregate, the work of one
+  // cache miss (k dummy Freq queries + the sum/sensitivity folds), on
+  // Beijing at r = 1 km. Each call takes the next of 64 cloak regions
+  // across the city, so consecutive calls query different dummies.
+  {
+    common::Rng pop_rng(43);
+    const cloak::AdaptiveIntervalCloaker cloaker(
+        cloak::uniform_population(db.bounds(), 10000, pop_rng), db.bounds());
+    service::ServiceConfig config;
+    for (const std::size_t k : {16, 32}) {
+      config.policies.push_back(
+          {"k" + std::to_string(k), {.k = k, .epsilon = 0.5, .delta = 0.01}});
+    }
+    const service::ReleaseService gsp(db, cloaker, config);
+    for (service::PolicyId policy = 0; policy < config.policies.size();
+         ++policy) {
+      std::vector<service::ReleaseCacheKey> keys(64);
+      for (std::size_t j = 0; j < keys.size(); ++j) {
+        keys[j].region =
+            cloaker
+                .cloak(location_for(static_cast<std::int64_t>(j)),
+                       config.policies[policy].release.k)
+                .region;
+        keys[j].radius = 1.0;
+        keys[j].policy = policy;
+      }
+      std::size_t call = 0;
+      emit_bench(json, "compute_aggregate_" + config.policies[policy].name,
+                 freq_reps, freq_iters / 4 + 1, [&] {
+                   keep(gsp.compute_aggregate(keys[call++ & 63]).sum.data());
+                 });
+    }
+  }
+
   // Linkage-engine primitives (attack/linkage_engine.h): index build over
   // a large candidate layer, the per-tile envelope annulus prune, and a
   // full streamed tracker intersection over a short release chain.

@@ -19,11 +19,13 @@
 #      never an observable one,
 #   7. an Address+UB-Sanitizer build (float-cast-overflow included)
 #      running the kernel, fingerprint, tile-window, spatial, cloak and
-#      release property suites under both the native and the scalar tier
-#      (the explicit SIMD kernels read memory in 32-byte gulps, the
-#      quadtree's exact-node descent indexes children by hand, and the
-#      release rounding casts doubles to integers; ASan/UBSan prove all
-#      three stay in bounds),
+#      release property suites and the service suite under both the
+#      native and the scalar tier (the explicit SIMD kernels read memory
+#      in 32-byte gulps, the quadtree's exact-node descent indexes
+#      children by hand, the release rounding casts doubles to integers,
+#      and the grid index casts query coordinates to cell numbers, which
+#      service_test drives with infinite, NaN and 1e300 requests;
+#      ASan/UBSan prove all four stay in bounds),
 #   8. the serving-layer concurrency gate: the session-shard stress,
 #      property and net-framing suites re-run under the ThreadSanitizer
 #      build, then a Release loopback smoke drives the TCP front-end
@@ -114,11 +116,11 @@ for threads in 1 2 8; do
   echo "poibench smoke: scalar == native tier at --threads $threads"
 done
 
-echo "== [7/11] ASan/UBSan build + kernel/spatial/cloak property suites per tier =="
+echo "== [7/11] ASan/UBSan build + kernel/spatial/cloak/service suites per tier =="
 cmake -B build-asan -S . -DPOIPRIVACY_SANITIZE=address >/dev/null
 asan_suites=(kernel_property_test fingerprint_property_test
              tile_window_property_test spatial_property_test
-             cloak_property_test release_property_test)
+             cloak_property_test release_property_test service_test)
 cmake --build build-asan -j "$jobs" --target "${asan_suites[@]}"
 for tier in native scalar; do
   env_prefix=()

@@ -124,6 +124,13 @@ std::vector<geo::Point> positions_of(const std::vector<Poi>& pois) {
   return out;
 }
 
+std::vector<std::uint32_t> types_of(const std::vector<Poi>& pois) {
+  std::vector<std::uint32_t> out;
+  out.reserve(pois.size());
+  for (const Poi& p : pois) out.push_back(p.type);
+  return out;
+}
+
 }  // namespace
 
 PoiDatabase::PoiDatabase(std::string city_name, std::vector<Poi> pois,
@@ -132,7 +139,7 @@ PoiDatabase::PoiDatabase(std::string city_name, std::vector<Poi> pois,
       pois_(std::move(pois)),
       types_(std::move(types)),
       bounds_(bounds),
-      index_(positions_of(pois_), bounds),
+      index_(positions_of(pois_), bounds, 0.5, types_of(pois_)),
       anchor_cache_(std::make_unique<AnchorCache>(pois_.size())),
       tile_holder_(std::make_unique<TileHolder>()) {
   city_freq_.assign(types_.size(), 0);
@@ -213,24 +220,20 @@ FrequencyVector PoiDatabase::freq(geo::Point center, double radius) const {
   return f;
 }
 
+// Both Freq entry points bottom out in the grid's branchless label-count
+// scan: the index stores each POI's type next to its position, so no
+// per-hit pois_[id].type gather remains.
 void PoiDatabase::freq_into(geo::Point center, double radius,
                             FrequencyVector& out) const {
   out.assign(types_.size(), 0);
-  index_.for_each_in_disk(center, radius,
-                          [this, &out](std::uint32_t id, geo::Point) {
-                            ++out[pois_[id].type];
-                          });
+  index_.count_labels_in_disk(center, radius, out);
 }
 
 void PoiDatabase::freq_batch(std::span<const geo::Point> centers, double radius,
                              FreqArena& arena) const {
   arena.reset(centers.size(), types_.size());
   for (std::size_t i = 0; i < centers.size(); ++i) {
-    const std::span<std::int32_t> row = arena.row(i);
-    index_.for_each_in_disk(centers[i], radius,
-                            [this, row](std::uint32_t id, geo::Point) {
-                              ++row[pois_[id].type];
-                            });
+    index_.count_labels_in_disk(centers[i], radius, arena.row(i));
   }
 }
 

@@ -21,6 +21,17 @@ constexpr std::size_t kComputeChunk = 1;
 
 constexpr std::size_t kNotMissing = static_cast<std::size_t>(-1);
 
+/// A point request the service can answer: a known policy, a finite
+/// location and a finite positive radius. Both serving paths check this
+/// before admission, so a malformed request is never charged budget and
+/// never reaches the cloaker or the grid index. (A finite but huge radius
+/// is well formed: its disk covers the whole city.)
+bool well_formed(const ReleaseRequest& request, std::size_t num_policies) {
+  return request.policy < num_policies && std::isfinite(request.location.x) &&
+         std::isfinite(request.location.y) && std::isfinite(request.radius) &&
+         request.radius > 0.0;
+}
+
 struct KeyHash {
   std::size_t operator()(const ReleaseCacheKey& key) const noexcept {
     return static_cast<std::size_t>(ReleaseCache::hash(key));
@@ -273,8 +284,7 @@ void ReleaseService::serve_batch(std::span<const ReleaseRequest> requests,
         next_request_index_.fetch_add(1, std::memory_order_relaxed);
     ++stats_.requests;
     metrics.requests.add(1);
-    if (request.policy >= config_.policies.size() ||
-        !(request.radius > 0.0)) {
+    if (!well_formed(request, config_.policies.size())) {
       out.status = ReleaseStatus::kInvalidRequest;
       out.spent = {0.0, 0.0};
       ++stats_.invalid;
@@ -535,7 +545,7 @@ ReleaseResult ReleaseService::serve_concurrent(const ReleaseRequest& request) {
       next_request_index_.fetch_add(1, std::memory_order_relaxed);
   concurrent_.requests.fetch_add(1, std::memory_order_relaxed);
   metrics.requests.add(1);
-  if (request.policy >= config_.policies.size() || !(request.radius > 0.0)) {
+  if (!well_formed(request, config_.policies.size())) {
     out.status = ReleaseStatus::kInvalidRequest;
     out.spent = {0.0, 0.0};
     concurrent_.invalid.fetch_add(1, std::memory_order_relaxed);

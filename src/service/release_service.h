@@ -118,7 +118,8 @@ enum class ReleaseStatus : std::uint8_t {
   kGranted = 0,          ///< served under the requested policy
   kDegraded,             ///< budget-limited; served under degrade_policy
   kBudgetExhausted,      ///< refused: no admissible policy fits the budget
-  kInvalidRequest,       ///< unknown policy or nonpositive radius
+  kInvalidRequest,       ///< unknown policy, non-finite location, or a
+                         ///< radius that is not finite and positive
 };
 
 inline constexpr ReleaseStatus kAllStatuses[] = {

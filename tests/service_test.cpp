@@ -4,6 +4,7 @@
 // and the workload generator's per-user substream stability.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "common/parallel.h"
@@ -185,6 +186,63 @@ TEST(ReleaseService, InvalidRequestsAreTypedNotThrown) {
   // Invalid requests never create a session or spend budget.
   EXPECT_EQ(gsp.num_users(), 0u);
   EXPECT_EQ(gsp.stats().invalid, 2u);
+}
+
+// A non-finite radius or location is refused before admission on both
+// serving paths. Before the check, inf slipped past `!(radius > 0)` (as
+// did a NaN location) and reached the grid index's float-to-int cell
+// computation, which is UB; the ASan/UBSan gate runs this suite with
+// float-cast-overflow enabled.
+TEST(ReleaseService, NonFiniteRequestsAreInvalidAndUncharged) {
+  const poi::City city = make_city();
+  const auto cloaker = make_cloaker(city.db);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<service::ReleaseRequest> malformed = {
+      {1, {4.0, 4.0}, inf, 0},  {2, {4.0, 4.0}, -inf, 0},
+      {3, {4.0, 4.0}, nan, 0},  {4, {nan, 4.0}, 1.0, 0},
+      {5, {4.0, nan}, 1.0, 0},  {6, {inf, 4.0}, 1.0, 0},
+      {7, {4.0, -inf}, 1.0, 1},
+  };
+  service::ReleaseService batch(city.db, cloaker, two_policy_config());
+  const std::vector<service::ReleaseResult> results = batch.serve(malformed);
+  service::ReleaseService concurrent(city.db, cloaker, two_policy_config());
+  for (std::size_t i = 0; i < malformed.size(); ++i) {
+    const service::ReleaseResult one = concurrent.serve_concurrent(malformed[i]);
+    for (const service::ReleaseResult* r : {&results[i], &one}) {
+      EXPECT_EQ(r->status, service::ReleaseStatus::kInvalidRequest)
+          << "request " << i;
+      EXPECT_TRUE(r->vector.empty()) << "request " << i;
+      EXPECT_DOUBLE_EQ(r->spent.epsilon, 0.0) << "request " << i;
+    }
+  }
+  EXPECT_EQ(batch.num_users(), 0u);
+  EXPECT_EQ(batch.stats().invalid, malformed.size());
+  EXPECT_EQ(batch.stats().cache_misses, 0u);
+  EXPECT_EQ(concurrent.num_users(), 0u);
+  EXPECT_EQ(concurrent.concurrent_stats().invalid, malformed.size());
+  EXPECT_EQ(concurrent.concurrent_stats().cache_misses, 0u);
+}
+
+// A finite radius far past the city is well formed: its disk covers every
+// POI. The grid clamps the bounding square's cells in floating point, so
+// 1e300 (whose cell number overflows int) is served, not UB.
+TEST(ReleaseService, HugeFiniteRadiusCoversTheCity) {
+  const poi::City city = make_city();
+  const auto cloaker = make_cloaker(city.db);
+  EXPECT_EQ(city.db.freq({4.0, 4.0}, 1e300), city.db.city_freq());
+  EXPECT_EQ(city.db.freq({-1e300, 1e300}, 1e301), city.db.city_freq());
+  EXPECT_EQ(poi::total(city.db.freq({4.0, 4.0}, 1e-300)), 0);
+
+  service::ReleaseService batch(city.db, cloaker, two_policy_config());
+  service::ReleaseService concurrent(city.db, cloaker, two_policy_config());
+  const service::ReleaseRequest huge{1, {4.0, 4.0}, 1e300, 0};
+  const service::ReleaseResult a = batch.serve_one(huge);
+  const service::ReleaseResult b = concurrent.serve_concurrent(huge);
+  EXPECT_EQ(a.status, service::ReleaseStatus::kGranted);
+  EXPECT_EQ(a.vector.size(), city.db.num_types());
+  EXPECT_EQ(b.status, a.status);
+  EXPECT_EQ(b.vector, a.vector);  // same arrival index 0, same substream
 }
 
 TEST(ReleaseService, CacheHitsAreDeterministic) {

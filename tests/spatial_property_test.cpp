@@ -2,15 +2,19 @@
 // over the same point set. Each backend gets ~200 randomized cases
 // (point clouds with duplicates, degenerate and empty sets, boundary-
 // grazing queries), seeded via Rng::substream so case i is reproducible
-// in isolation.
+// in isolation. The grid index is also pinned to a frozen copy of its
+// earlier vector-of-vectors layout, id order included, and the database's
+// Freq entry points to a per-POI scan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
 #include "geo/geometry.h"
+#include "poi/city_model.h"
 #include "spatial/grid_index.h"
 #include "spatial/kdtree.h"
 #include "spatial/quadtree.h"
@@ -107,6 +111,228 @@ TEST(SpatialProperty, GridIndexMatchesBruteForceDisk) {
           << "case " << c << " query " << q;
       EXPECT_EQ(index.count_in_disk(center, radius), expected.size())
           << "case " << c << " query " << q;
+    }
+  }
+}
+
+/// The grid index as it was before the cell-ordered (CSR) layout: one
+/// id vector per cell, points kept in id order. Frozen here as the oracle
+/// for the visiting order that query_disk callers depend on.
+class LegacyGridIndex {
+ public:
+  LegacyGridIndex(std::vector<geo::Point> points, geo::BBox bounds,
+                  double cell_km)
+      : points_(std::move(points)), bounds_(bounds), cell_km_(cell_km) {
+    nx_ = std::max(1, static_cast<int>(std::ceil(bounds_.width() / cell_km_)));
+    ny_ = std::max(1, static_cast<int>(std::ceil(bounds_.height() / cell_km_)));
+    cells_.resize(static_cast<std::size_t>(nx_) * static_cast<std::size_t>(ny_));
+    for (std::uint32_t id = 0; id < points_.size(); ++id) {
+      const auto [cx, cy] = cell_of(points_[id]);
+      cells_[cell_index(cx, cy)].push_back(id);
+    }
+  }
+
+  std::vector<std::uint32_t> query_disk(geo::Point center,
+                                        double radius) const {
+    std::vector<std::uint32_t> out;
+    const double r_sq = radius * radius;
+    const auto [cx0, cy0] = cell_of({center.x - radius, center.y - radius});
+    const auto [cx1, cy1] = cell_of({center.x + radius, center.y + radius});
+    for (int cy = cy0; cy <= cy1; ++cy) {
+      for (int cx = cx0; cx <= cx1; ++cx) {
+        for (const std::uint32_t id : cells_[cell_index(cx, cy)]) {
+          if (geo::distance_sq(points_[id], center) <= r_sq) out.push_back(id);
+        }
+      }
+    }
+    return out;
+  }
+
+ private:
+  // Casts before clamping, so callers keep centres within a few cells of
+  // the bounds (the int conversion is then in range).
+  std::pair<int, int> cell_of(geo::Point p) const noexcept {
+    const int cx = static_cast<int>((p.x - bounds_.min_x) / cell_km_);
+    const int cy = static_cast<int>((p.y - bounds_.min_y) / cell_km_);
+    return {std::clamp(cx, 0, nx_ - 1), std::clamp(cy, 0, ny_ - 1)};
+  }
+  std::size_t cell_index(int cx, int cy) const noexcept {
+    return static_cast<std::size_t>(cy) * static_cast<std::size_t>(nx_) +
+           static_cast<std::size_t>(cx);
+  }
+
+  std::vector<geo::Point> points_;
+  geo::BBox bounds_;
+  double cell_km_;
+  int nx_ = 0;
+  int ny_ = 0;
+  std::vector<std::vector<std::uint32_t>> cells_;
+};
+
+/// Per-point label histogram of the disk (the brute-force oracle of
+/// count_labels_in_disk).
+std::vector<std::int32_t> brute_label_counts(
+    const std::vector<geo::Point>& points,
+    const std::vector<std::uint32_t>& labels, std::size_t num_labels,
+    geo::Point center, double radius) {
+  std::vector<std::int32_t> counts(num_labels, 0);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (geo::distance_sq(points[i], center) <= radius * radius) {
+      ++counts[labels[i]];
+    }
+  }
+  return counts;
+}
+
+/// Multiples of 1/8 km: sums, differences and squares of these stay exact
+/// in double, so a point placed at offset (r, 0) or a scaled 3-4-5 triple
+/// from a centre sits at distance exactly r under distance_sq.
+double eighths(common::Rng& rng, double lo, double hi) {
+  return static_cast<double>(rng.uniform_int(static_cast<std::int64_t>(lo * 8),
+                                             static_cast<std::int64_t>(hi * 8))) /
+         8.0;
+}
+
+TEST(SpatialProperty, GridIndexMatchesLegacyOrderAndLabelCounts) {
+  const common::Rng base(0x57A71A66u);
+  for (std::size_t c = 0; c < kCases; ++c) {
+    common::Rng rng = base.substream(c);
+    // Cell sizes on the 1/8 grid put points on cell edges exactly.
+    const double cell_km = eighths(rng, 0.25, 1.5);
+    auto points =
+        random_points(rng, static_cast<std::size_t>(rng.uniform_int(0, 60)));
+    // Points exactly on cell edges and corners (the bounds' max edges
+    // included).
+    const auto on_edges = rng.uniform_int(0, 10);
+    for (std::int64_t e = 0; e < on_edges; ++e) {
+      const double x = kBounds.min_x +
+                       cell_km * static_cast<double>(rng.uniform_int(
+                                     0, static_cast<std::int64_t>(
+                                            kBounds.width() / cell_km)));
+      const double y = rng.bernoulli(0.5) ? eighths(rng, 0.0, 8.0)
+                                          : kBounds.min_y + cell_km * 2.0;
+      points.push_back(rng.bernoulli(0.5) ? geo::Point{x, y}
+                                          : geo::Point{y, x});
+    }
+    // Boundary queries: a centre on the 1/8 grid (possibly outside the
+    // bounds) with points at distance exactly r — on the axes at edge_r,
+    // and on scaled 3-4-5 triples at tri_r.
+    const geo::Point edge_center{eighths(rng, -1.0, 11.0),
+                                 eighths(rng, -1.0, 9.0)};
+    const double edge_r = eighths(rng, 0.125, 5.0);
+    const double m = static_cast<double>(rng.uniform_int(1, 8)) / 8.0;
+    const double tri_r = 5.0 * m;
+    for (const geo::Point off :
+         {geo::Point{edge_r, 0.0}, geo::Point{0.0, -edge_r},
+          geo::Point{-edge_r, 0.0}, geo::Point{3.0 * m, 4.0 * m},
+          geo::Point{-4.0 * m, 3.0 * m}, geo::Point{-3.0 * m, -4.0 * m}}) {
+      points.push_back({edge_center.x + off.x, edge_center.y + off.y});
+    }
+    if (rng.bernoulli(0.1)) points.clear();  // the empty index
+    const std::size_t num_labels =
+        static_cast<std::size_t>(rng.uniform_int(1, 12));
+    std::vector<std::uint32_t> labels(points.size());
+    for (std::uint32_t& l : labels) {
+      l = static_cast<std::uint32_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(num_labels) - 1));
+    }
+
+    const spatial::GridIndex index(points, kBounds, cell_km, labels);
+    const LegacyGridIndex legacy(points, kBounds, cell_km);
+    ASSERT_EQ(index.size(), points.size());
+    std::vector<std::pair<geo::Point, double>> queries = {
+        {edge_center, edge_r},
+        {edge_center, std::nextafter(edge_r, 0.0)},
+        {edge_center, tri_r},
+        {edge_center, std::nextafter(tri_r, 0.0)},
+        {{-40.0, 3.0}, 5.0},  // far outside: nothing
+        {{5.0, 4.0}, 0.0},
+    };
+    for (int k = 0; k < 6; ++k) {
+      queries.push_back({random_center(rng), rng.uniform(0.1, 5.0)});
+    }
+    for (std::size_t k = 0; k < queries.size(); ++k) {
+      const auto [center, radius] = queries[k];
+      const auto ids = index.query_disk(center, radius);
+      EXPECT_EQ(ids, legacy.query_disk(center, radius))
+          << "case " << c << " query " << k;
+      EXPECT_EQ(sorted(ids), brute_disk(points, center, radius))
+          << "case " << c << " query " << k;
+      EXPECT_EQ(index.count_in_disk(center, radius), ids.size())
+          << "case " << c << " query " << k;
+      std::vector<std::int32_t> counts(num_labels, 0);
+      index.count_labels_in_disk(center, radius, counts);
+      EXPECT_EQ(counts, brute_label_counts(points, labels, num_labels, center,
+                                           radius))
+          << "case " << c << " query " << k;
+    }
+    // The boundary points are inside at exactly r and outside just below.
+    if (!points.empty()) {
+      EXPECT_GE(index.count_in_disk(edge_center, edge_r) -
+                    index.count_in_disk(edge_center,
+                                        std::nextafter(edge_r, 0.0)),
+                3u)
+          << "case " << c;
+      EXPECT_GE(index.count_in_disk(edge_center, tri_r) -
+                    index.count_in_disk(edge_center,
+                                        std::nextafter(tri_r, 0.0)),
+                3u)
+          << "case " << c;
+    }
+  }
+}
+
+TEST(SpatialProperty, GridIndexLabelCountsAccumulate) {
+  const std::vector<geo::Point> points = {{1.0, 1.0}, {1.5, 1.0}, {9.0, 7.0}};
+  const std::vector<std::uint32_t> labels = {2, 0, 2};
+  const spatial::GridIndex index(points, kBounds, 0.5, labels);
+  std::vector<std::int32_t> counts = {10, 20, 30};
+  index.count_labels_in_disk({1.0, 1.0}, 0.5, counts);
+  EXPECT_EQ(counts, (std::vector<std::int32_t>{11, 20, 31}));
+  // Without labels every point counts under label 0.
+  const spatial::GridIndex unlabelled(points, kBounds, 0.5);
+  std::vector<std::int32_t> one(1, 0);
+  unlabelled.count_labels_in_disk({5.0, 4.0}, 100.0, one);
+  EXPECT_EQ(one[0], 3);
+}
+
+// Freq(l, r) through the grid's label-count scan equals a per-POI scan of
+// the database, for freq_into (with a dirty reused buffer) and freq_batch,
+// on the test and Beijing presets.
+TEST(SpatialProperty, DatabaseFreqMatchesPerPoiScan) {
+  for (const poi::CityPreset& preset :
+       {poi::test_preset(), poi::beijing_preset()}) {
+    const poi::City city = poi::generate_city(preset, 5);
+    const poi::PoiDatabase& db = city.db;
+    const geo::BBox& b = db.bounds();
+    const auto per_poi = [&db](geo::Point center, double radius) {
+      poi::FrequencyVector f(db.num_types(), 0);
+      for (const poi::Poi& p : db.pois()) {
+        if (geo::distance_sq(p.pos, center) <= radius * radius) ++f[p.type];
+      }
+      return f;
+    };
+    common::Rng rng(0x57A71A77u);
+    std::vector<geo::Point> centers;
+    for (int k = 0; k < 24; ++k) {
+      centers.push_back({rng.uniform(b.min_x - 1.0, b.max_x + 1.0),
+                         rng.uniform(b.min_y - 1.0, b.max_y + 1.0)});
+    }
+    centers.push_back(db.poi(0).pos);  // a POI exactly at the centre
+    poi::FrequencyVector reused(3, 99);
+    poi::FreqArena arena;
+    for (const double radius : {0.1, 0.5, 1.0, 2.0, 5.0}) {
+      db.freq_batch(centers, radius, arena);
+      for (std::size_t i = 0; i < centers.size(); ++i) {
+        const poi::FrequencyVector expected = per_poi(centers[i], radius);
+        db.freq_into(centers[i], radius, reused);
+        EXPECT_EQ(reused, expected)
+            << preset.name << " r=" << radius << " centre " << i;
+        const auto row = arena.row(i);
+        EXPECT_TRUE(std::equal(row.begin(), row.end(), expected.begin(),
+                               expected.end()))
+            << preset.name << " r=" << radius << " centre " << i;
+      }
     }
   }
 }

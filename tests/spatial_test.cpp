@@ -69,6 +69,20 @@ TEST(GridIndex, BoundaryPointIncluded) {
   EXPECT_EQ(got[0], 0u);
 }
 
+// A negative radius gives an inverted bounding square. Below the bounds
+// both of its y edges clamp into row 0 while its x edges stay inverted by
+// more than a cell, so the row-span scan must not walk from a later cell
+// back to an earlier one.
+TEST(GridIndex, NegativeRadiusIsEmpty) {
+  const geo::BBox box{0.0, 0.0, 10.0, 10.0};
+  const GridIndex index({{0.2, 0.2}, {1.0, 0.2}, {1.7, 0.3}}, box, 0.5);
+  EXPECT_TRUE(index.query_disk({1.0, -5.0}, -0.6).empty());
+  EXPECT_EQ(index.count_in_disk({1.0, -5.0}, -0.6), 0u);
+  std::vector<std::int32_t> counts(1, 0);
+  index.count_labels_in_disk({1.0, -5.0}, -0.6, counts);
+  EXPECT_EQ(counts[0], 0);
+}
+
 TEST(GridIndex, QueryOutsideBoundsStillCorrect) {
   common::Rng rng(5);
   const geo::BBox box{0.0, 0.0, 10.0, 10.0};
