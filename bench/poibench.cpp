@@ -12,6 +12,10 @@
 //                                        appended to every run — the
 //                                        regression gate diffs the combined
 //                                        stdout across thread counts
+//   poibench --kernel-tier               the frequency-kernel tier this
+//                                        machine dispatches to (scalar,
+//                                        avx2 or neon; POIPRIVACY_KERNEL
+//                                        applies), for benchmark provenance
 //   poibench --help                      this text
 //
 // Exit codes: 0 on success, 2 on usage errors or an unknown scenario, and
@@ -22,6 +26,7 @@
 #include <string_view>
 #include <vector>
 
+#include "poi/kernel_tiers.h"
 #include "scenarios/scenarios.h"
 
 namespace {
@@ -34,6 +39,7 @@ void print_usage(std::FILE* out) {
       "usage: poibench --list\n"
       "       poibench --scenario NAME [flags...]   (or: poibench NAME ...)\n"
       "       poibench --all [--smoke] [flags...]\n"
+      "       poibench --kernel-tier\n"
       "       poibench --help\n"
       "\n"
       "Pass --help after --scenario NAME for that scenario's flag list.\n",
@@ -98,6 +104,12 @@ int main(int argc, char** argv) {
   }
   if (mode == "--list") {
     return list_scenarios();
+  }
+  if (mode == "--kernel-tier") {
+    std::printf("%s\n", std::string(poiprivacy::poi::kernel_tier_name(
+                                         poiprivacy::poi::active_kernel_tier()))
+                             .c_str());
+    return 0;
   }
   if (mode == "--all") {
     return run_all(argc, argv, 2);

@@ -11,6 +11,7 @@ AdaptiveIntervalCloaker::AdaptiveIntervalCloaker(std::vector<geo::Point> users,
 CloakResult AdaptiveIntervalCloaker::cloak(geo::Point target,
                                            std::size_t k) const {
   geo::BBox current = bounds_;
+  std::size_t users_inside = 0;  // of `current`, once a quadrant is taken
   int depth = 0;
   while (depth < kMaxDepth) {
     const geo::Point c = current.center();
@@ -26,9 +27,11 @@ CloakResult AdaptiveIntervalCloaker::cloak(geo::Point target,
     const std::size_t inside = tree_.count_in_box(quadrant);
     if (inside + 1 < k) break;
     current = quadrant;
+    users_inside = inside;
     ++depth;
   }
-  return {current, tree_.count_in_box(current), depth};
+  if (depth == 0) users_inside = tree_.count_in_box(bounds_);
+  return {current, users_inside, depth};
 }
 
 std::vector<geo::Point> AdaptiveIntervalCloaker::dummy_locations(
@@ -36,6 +39,7 @@ std::vector<geo::Point> AdaptiveIntervalCloaker::dummy_locations(
   std::vector<geo::Point> out;
   if (k == 0) return out;
   const CloakResult result = cloak(target, k);
+  out.reserve(k);
   out.push_back(target);
   append_region_draws(out, result.region, k, rng);
   return out;
@@ -44,6 +48,7 @@ std::vector<geo::Point> AdaptiveIntervalCloaker::dummy_locations(
 std::vector<geo::Point> AdaptiveIntervalCloaker::region_dummy_locations(
     const geo::BBox& region, std::size_t k, common::Rng& rng) const {
   std::vector<geo::Point> out;
+  out.reserve(k);
   append_region_draws(out, region, k, rng);
   return out;
 }
@@ -52,7 +57,9 @@ void AdaptiveIntervalCloaker::append_region_draws(std::vector<geo::Point>& out,
                                                   const geo::BBox& region,
                                                   std::size_t k,
                                                   common::Rng& rng) const {
-  std::vector<std::uint32_t> ids = tree_.query_box(region);
+  // Per-thread id buffer: a steady-state draw allocates no ids.
+  thread_local std::vector<std::uint32_t> ids;
+  tree_.query_box_into(region, ids);
   rng.shuffle(ids);
   for (const std::uint32_t id : ids) {
     if (out.size() >= k) break;

@@ -64,34 +64,39 @@ poi::FrequencyVector OptimizationDefense::release(
       max_injection_);
 }
 
-std::size_t DpDefense::dummy_aggregate(geo::Point location, double r,
-                                       common::Rng& rng,
-                                       std::vector<double>& sum,
-                                       std::vector<double>& sensitivity) const {
+void aggregate_dummies(const poi::PoiDatabase& db,
+                       std::span<const geo::Point> dummies, double r,
+                       std::vector<double>& sum,
+                       std::vector<double>& sensitivity,
+                       std::vector<poi::TypeId>& support) {
+  // Per-thread int32 folds and support buffer: the support is copied out
+  // once at its final size.
+  thread_local poi::FrequencyVector count_sum;
+  thread_local poi::FrequencyVector count_max;
+  thread_local std::vector<poi::TypeId> present;
+  db.freq_sum_max(dummies, r, count_sum, count_max);
+  const std::size_t m = count_sum.size();
+  sum.resize(m);
+  sensitivity.resize(m);
+  present.resize(m);
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    sum[i] = static_cast<double>(count_sum[i]);
+    sensitivity[i] = static_cast<double>(count_max[i]);
+    present[n] = static_cast<poi::TypeId>(i);
+    n += count_sum[i] != 0;
+  }
+  support.assign(present.begin(),
+                 present.begin() + static_cast<std::ptrdiff_t>(n));
+}
+
+std::size_t DpDefense::dummy_aggregate(
+    geo::Point location, double r, common::Rng& rng, std::vector<double>& sum,
+    std::vector<double>& sensitivity,
+    std::vector<poi::TypeId>& support) const {
   const std::vector<geo::Point> dummies =
       cloaker_->dummy_locations(location, config_.k, rng);
-  // Shared per-thread scratch (see poi::scratch_arena): the k dummy
-  // aggregates land in one reusable buffer, so steady-state releases
-  // allocate nothing for the frequency queries. Consumed fully below,
-  // before any other component can refill the arena.
-  poi::FreqArena& arena = poi::scratch_arena();
-  db_->freq_batch(dummies, r, arena);
-
-  const std::size_t m = db_->num_types();
-  // Row-major accumulation streams each arena row once. Per type, the
-  // additions still happen in ascending dummy order, so the floating-point
-  // sums (and hence the noise draws) are bit-identical to the old
-  // column-major loop.
-  sum.assign(m, 0.0);
-  sensitivity.assign(m, 0.0);  // Delta_i = max_d F_d[i]
-  for (std::size_t d = 0; d < arena.rows(); ++d) {
-    const std::span<const std::int32_t> row = arena.row(d);
-    for (std::size_t i = 0; i < m; ++i) {
-      sum[i] += row[i];
-      sensitivity[i] =
-          std::max(sensitivity[i], static_cast<double>(row[i]));
-    }
-  }
+  aggregate_dummies(*db_, dummies, r, sum, sensitivity, support);
   return dummies.size();
 }
 
@@ -99,7 +104,9 @@ std::vector<double> DpDefense::noised_mean(geo::Point location, double r,
                                            common::Rng& rng) const {
   std::vector<double> sum;
   std::vector<double> sensitivity;
-  const std::size_t k = dummy_aggregate(location, r, rng, sum, sensitivity);
+  std::vector<poi::TypeId> support;
+  const std::size_t k =
+      dummy_aggregate(location, r, rng, sum, sensitivity, support);
   return noise_aggregate(sum, sensitivity, k, config_, rng);
 }
 
@@ -113,21 +120,6 @@ std::vector<double> noise_aggregate(std::span<const double> sum,
       sum.size(), [](std::size_t j) { return j; }, sum, sensitivity, k,
       policy, rng, [&mean](std::size_t j, double v) { mean[j] = v; });
   return mean;
-}
-
-std::vector<poi::TypeId> aggregate_support(
-    std::span<const double> sum, std::span<const double> sensitivity) {
-  const auto in_support = [&](std::size_t i) {
-    return sum[i] != 0.0 || sensitivity[i] > 0.0;
-  };
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < sum.size(); ++i) count += in_support(i);
-  std::vector<poi::TypeId> support;
-  support.reserve(count);
-  for (std::size_t i = 0; i < sum.size(); ++i) {
-    if (in_support(i)) support.push_back(static_cast<poi::TypeId>(i));
-  }
-  return support;
 }
 
 poi::FrequencyVector noised_release(std::span<const double> sum,
@@ -155,10 +147,11 @@ poi::FrequencyVector DpDefense::release(geo::Point location, double r,
                                         common::Rng& rng) const {
   std::vector<double> sum;
   std::vector<double> sensitivity;
-  const std::size_t k = dummy_aggregate(location, r, rng, sum, sensitivity);
-  return noised_release(sum, sensitivity, aggregate_support(sum, sensitivity),
-                        k, config_, db_->infrequency_rank(),
-                        db_->rare_type_count(), rng);
+  std::vector<poi::TypeId> support;
+  const std::size_t k =
+      dummy_aggregate(location, r, rng, sum, sensitivity, support);
+  return noised_release(sum, sensitivity, support, k, config_,
+                        db_->infrequency_rank(), db_->rare_type_count(), rng);
 }
 
 }  // namespace poiprivacy::defense

@@ -92,15 +92,26 @@ std::vector<double> noise_aggregate(std::span<const double> sum,
                                     const DpDefenseConfig& policy,
                                     common::Rng& rng);
 
-/// The support of an aggregate: the ascending type ids i with
-/// sum[i] != 0 or sensitivity[i] > 0. Off the support the noised mean is
-/// a draw-free +-0 and the release entry is 0 (DESIGN.md 4e, Phase F).
-std::vector<poi::TypeId> aggregate_support(
-    std::span<const double> sum, std::span<const double> sensitivity);
+/// Step (2) over a drawn dummy set: per type i, sum[i] = sum_d F_d[i]
+/// and sensitivity[i] = Delta_i = max_d F_d[i], both as doubles, plus the
+/// aggregate's support: the ascending types with sum[i] != 0. Counts are
+/// nonnegative, so that is also where Delta_i > 0, and off the support
+/// the noised mean is a draw-free +-0 and the release entry is 0
+/// (DESIGN.md 4e, Phase F). The folds are exact int32 sums and maxima
+/// (PoiDatabase::freq_sum_max), converted once; every partial sum of a
+/// double fold would be an exact integer below 2^31, so the result is
+/// bit-identical to one. All three outputs are overwritten. Throws
+/// std::invalid_argument if dummies.size() > db.max_fold_centers().
+void aggregate_dummies(const poi::PoiDatabase& db,
+                       std::span<const geo::Point> dummies, double r,
+                       std::vector<double>& sum,
+                       std::vector<double>& sensitivity,
+                       std::vector<poi::TypeId>& support);
 
 /// One private release, Eq. (8) then Eq. (9), touching only `support`
-/// (see aggregate_support): the noise draws run over the support in
-/// ascending order, the Eq. (9) greedy over the support's candidates
+/// (the ascending types with sum[i] != 0 or sensitivity[i] > 0; every
+/// other type must have both zero): the noise draws run over the support
+/// in ascending order, the Eq. (9) greedy over the support's candidates
 /// (plus the zero types of rank <= max_rank when max_injection > 0).
 /// Byte-identical to opt::greedy_release(noise_aggregate(sum,
 /// sensitivity, k, policy, rng), rank, policy.beta, policy.max_injection,
@@ -132,11 +143,12 @@ class DpDefense {
   const DpDefenseConfig& config() const noexcept { return config_; }
 
  private:
-  /// Draws the k dummies around `location` and fills the per-type sum and
-  /// sensitivity of their frequency vectors; returns k.
+  /// Draws the k dummies around `location` and fills their
+  /// aggregate_dummies outputs; returns k.
   std::size_t dummy_aggregate(geo::Point location, double r,
                               common::Rng& rng, std::vector<double>& sum,
-                              std::vector<double>& sensitivity) const;
+                              std::vector<double>& sensitivity,
+                              std::vector<poi::TypeId>& support) const;
 
   const poi::PoiDatabase* db_;
   const cloak::AdaptiveIntervalCloaker* cloaker_;

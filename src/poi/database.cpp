@@ -5,6 +5,7 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -234,6 +235,35 @@ void PoiDatabase::freq_batch(std::span<const geo::Point> centers, double radius,
   arena.reset(centers.size(), types_.size());
   for (std::size_t i = 0; i < centers.size(); ++i) {
     index_.count_labels_in_disk(centers[i], radius, arena.row(i));
+  }
+}
+
+std::size_t PoiDatabase::max_fold_centers() const noexcept {
+  if (pois_.empty()) return std::numeric_limits<std::size_t>::max();
+  return static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max()) /
+         pois_.size();
+}
+
+void PoiDatabase::freq_sum_max(std::span<const geo::Point> centers,
+                               double radius, FrequencyVector& sum,
+                               FrequencyVector& max) const {
+  if (centers.size() > max_fold_centers()) {
+    throw std::invalid_argument(
+        "PoiDatabase::freq_sum_max: " + std::to_string(centers.size()) +
+        " centers x " + std::to_string(pois_.size()) +
+        " POIs could overflow an int32 count");
+  }
+  const std::size_t m = types_.size();
+  sum.assign(m, 0);
+  max.assign(m, 0);
+  // All zero between calls: fold_counts clears it after every scan. A
+  // thread that meets a database with more types grows it (zero-filled).
+  thread_local FrequencyVector row;
+  if (row.size() < m) row.resize(m);
+  const std::span<std::int32_t> counts(row.data(), m);
+  for (const geo::Point& center : centers) {
+    index_.count_labels_in_disk(center, radius, counts);
+    fold_counts(counts, sum, max);
   }
 }
 

@@ -71,6 +71,20 @@ class PoiDatabase {
   void freq_batch(std::span<const geo::Point> centers, double radius,
                   FreqArena& arena) const;
 
+  /// The per-type sum and max of Freq(c, radius) over `centers`, as exact
+  /// int32 counts: `sum` and `max` are resized/zeroed and filled in place.
+  /// Each center's scan lands in one per-thread count row that
+  /// poi::fold_counts folds into both outputs and zeroes again, so no row
+  /// matrix is kept and steady-state calls allocate nothing. A sum never
+  /// exceeds centers.size() x |POIs|; throws std::invalid_argument when
+  /// centers.size() > max_fold_centers(), where it could leave int32.
+  void freq_sum_max(std::span<const geo::Point> centers, double radius,
+                    FrequencyVector& sum, FrequencyVector& max) const;
+
+  /// The most centers freq_sum_max accepts: INT32_MAX / |POIs| (no limit
+  /// for an empty city).
+  std::size_t max_fold_centers() const noexcept;
+
   /// Per-type tile count upper bounds for candidate pruning (built lazily
   /// on first use, then cached for the database's lifetime; thread-safe).
   /// See poi/tile_aggregates.h for the envelope invariant.

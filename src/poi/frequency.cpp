@@ -165,6 +165,16 @@ double top_k_jaccard(const FrequencyVector& original,
   return jaccard(a, b);
 }
 
+void fold_counts(FrequencyVector& row, FrequencyVector& total,
+                 FrequencyVector& peak) noexcept {
+  assert(row.size() == total.size() && row.size() == peak.size());
+  for (std::size_t i = 0; i < row.size(); ++i) {
+    total[i] += row[i];
+    peak[i] = std::max(peak[i], row[i]);
+    row[i] = 0;
+  }
+}
+
 std::vector<FingerprintWord> pack_fingerprint(const FrequencyVector& f) {
   std::vector<FingerprintWord> out(fingerprint_words(f.size()), 0);
   for (std::size_t t = 0; t < f.size(); ++t) {

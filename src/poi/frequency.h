@@ -133,6 +133,19 @@ inline std::int64_t total(std::span<const std::int32_t> f) noexcept {
   return detail::active_kernel_ops().total(f.data(), f.size());
 }
 
+/// Folds one count row into a running per-type sum and max, then zeroes
+/// the row: total_i += row_i, peak_i = max(peak_i, row_i), row_i = 0.
+/// The three spans must have one size and must not overlap, and every
+/// total_i + row_i must fit in int32 (PoiDatabase::freq_sum_max checks
+/// that bound once per call).
+inline void fold_counts(std::span<std::int32_t> row,
+                        std::span<std::int32_t> total,
+                        std::span<std::int32_t> peak) noexcept {
+  assert(row.size() == total.size() && row.size() == peak.size());
+  detail::active_kernel_ops().fold_counts(row.data(), total.data(),
+                                          peak.data(), row.size());
+}
+
 /// Type ids of the K largest entries (ties broken by smaller id), only
 /// types with positive frequency. May return fewer than K.
 std::vector<TypeId> top_k_types(std::span<const std::int32_t> f,
@@ -256,9 +269,10 @@ class FreqArena {
 /// The process-wide per-thread scratch arena. One FreqArena per thread,
 /// created on first use and reused for the thread's lifetime, so every
 /// component that fills-and-consumes a batch of frequency rows inside one
-/// call (the attacks' candidate scans, DpDefense::noised_mean, the release
-/// service's Phase-D aggregation) shares a single steady-state buffer
-/// instead of growing a private `static thread_local` arena each.
+/// call (the attacks' candidate scans) shares a single steady-state
+/// buffer instead of growing a private `static thread_local` arena each.
+/// The DP defense's dummy aggregate needs no row matrix: it folds each
+/// row as it is scanned (PoiDatabase::freq_sum_max).
 ///
 /// Lifetime contract: the pool workers of common::global_pool() live for
 /// the whole process, so after warmup no scratch call allocates. The
@@ -281,6 +295,10 @@ std::vector<TypeId> top_k_types(const FrequencyVector& f, std::size_t k);
 double jaccard(std::span<const TypeId> a, std::span<const TypeId> b);
 double top_k_jaccard(const FrequencyVector& original,
                      const FrequencyVector& protected_vec, std::size_t k);
+
+/// Element-at-a-time reference for poi::fold_counts.
+void fold_counts(FrequencyVector& row, FrequencyVector& total,
+                 FrequencyVector& peak) noexcept;
 
 /// One-bit-at-a-time reference for poi::pack_fingerprint.
 std::vector<FingerprintWord> pack_fingerprint(const FrequencyVector& f);

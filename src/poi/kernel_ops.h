@@ -43,7 +43,17 @@ struct KernelOps {
   /// b's presence bits are a subset of a's: (~a & b) == 0 word-wise.
   bool (*fingerprint_covers)(const std::uint64_t* a, const std::uint64_t* b,
                              std::size_t words) noexcept;
+  /// total_i += row_i, peak_i = max(peak_i, row_i), then row_i = 0. The
+  /// three rows must not overlap, and the caller keeps every
+  /// total_i + row_i within int32.
+  void (*fold_counts)(std::int32_t* row, std::int32_t* total,
+                      std::int32_t* peak, std::size_t n) noexcept;
 };
+
+/// The portable fold_counts loop: the scalar tier's slot, and the slot of
+/// any tier without a hand-written version.
+void portable_fold_counts(std::int32_t* row, std::int32_t* total,
+                          std::int32_t* peak, std::size_t n) noexcept;
 
 /// The portable tier (always compiled).
 const KernelOps& scalar_kernel_ops() noexcept;

@@ -192,13 +192,32 @@ bool fingerprint_covers(const std::uint64_t* a, const std::uint64_t* b,
   return uncovered == 0;
 }
 
+inline void storeu(std::int32_t* p, __m256i v) noexcept {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+
+void fold_counts(std::int32_t* row, std::int32_t* total, std::int32_t* peak,
+                 std::size_t n) noexcept {
+  // One add, one max and three stores per 8 lanes; the row's zero store
+  // leaves it ready for the next scan.
+  const __m256i zero = _mm256_setzero_si256();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256i v = loadu(row + i);
+    storeu(total + i, _mm256_add_epi32(loadu(total + i), v));
+    storeu(peak + i, _mm256_max_epi32(loadu(peak + i), v));
+    storeu(row + i, zero);
+  }
+  portable_fold_counts(row + i, total + i, peak + i, n - i);
+}
+
 }  // namespace
 
 const KernelOps& avx2_kernel_ops() noexcept {
   static constexpr KernelOps ops{
       dominates,        dominates_early_exit, l1_distance,
       diff_into,        total,                collect_positive,
-      pack_fingerprint, fingerprint_covers,
+      pack_fingerprint, fingerprint_covers,   fold_counts,
   };
   return ops;
 }

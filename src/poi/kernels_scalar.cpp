@@ -88,11 +88,21 @@ bool fingerprint_covers(const std::uint64_t* a, const std::uint64_t* b,
 
 }  // namespace
 
+void portable_fold_counts(std::int32_t* row, std::int32_t* total,
+                          std::int32_t* peak, std::size_t n) noexcept {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int32_t v = row[i];
+    total[i] += v;
+    peak[i] = peak[i] > v ? peak[i] : v;
+    row[i] = 0;
+  }
+}
+
 const KernelOps& scalar_kernel_ops() noexcept {
   static constexpr KernelOps ops{
       dominates,        dominates_early_exit, l1_distance,
       diff_into,        total,                collect_positive,
-      pack_fingerprint, fingerprint_covers,
+      pack_fingerprint, fingerprint_covers,   portable_fold_counts,
   };
   return ops;
 }

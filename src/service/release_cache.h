@@ -79,12 +79,12 @@ struct ReleaseCacheKey {
 /// The cached step-(2) result: per-type sums and sensitivities over the
 /// region's k canonical dummy locations (sensitivity_i = max_d F_d[i],
 /// the Gaussian mechanism's per-dimension calibration), plus their
-/// support (defense::aggregate_support: the ascending types with
-/// sum != 0 or sensitivity > 0), built once per miss so every hit noises
-/// and post-processes only those types. Stream blocks (key kind 1) reuse
-/// the container: `sum` holds the raw window-major per-series counts,
-/// `sensitivity` the single stream sensitivity, `k` the series count,
-/// and `support` stays empty.
+/// support (defense::aggregate_dummies: the ascending types with
+/// sum != 0, which for counts is also where sensitivity > 0), built once
+/// per miss so every hit noises and post-processes only those types.
+/// Stream blocks (key kind 1) reuse the container: `sum` holds the raw
+/// window-major per-series counts, `sensitivity` the single stream
+/// sensitivity, `k` the series count, and `support` stays empty.
 struct CloakAggregate {
   std::vector<double> sum;
   std::vector<double> sensitivity;

@@ -140,6 +140,11 @@ ReleaseService::ReleaseService(const poi::PoiDatabase& db,
       throw std::invalid_argument("service: ill-formed policy '" +
                                   policy.name + "'");
     }
+    // Checked here so Phase D's exact int32 fold can never throw mid-batch.
+    if (policy.release.k > db.max_fold_centers()) {
+      throw std::invalid_argument("service: policy '" + policy.name +
+                                  "' has k x |POIs| above INT32_MAX");
+    }
   }
   if (config_.degrade_policy &&
       *config_.degrade_policy >= config_.policies.size()) {
@@ -208,39 +213,12 @@ CloakAggregate ReleaseService::compute_aggregate(
   // function of the key: recomputing after an eviction (or on another
   // thread) reproduces it bit-for-bit.
   common::Rng rng = aggregate_base_.substream(ReleaseCache::hash(key));
-  const defense::DpDefenseConfig& policy =
-      config_.policies[key.policy].release;
-  const std::vector<geo::Point> dummies =
-      cloaker_->region_dummy_locations(key.region, policy.k, rng);
-  const std::size_t m = db_->num_types();
+  const std::vector<geo::Point> dummies = cloaker_->region_dummy_locations(
+      key.region, config_.policies[key.policy].release.k, rng);
   CloakAggregate aggregate;
   aggregate.k = dummies.size();
-  aggregate.sum.assign(m, 0.0);
-  aggregate.sensitivity.assign(m, 0.0);
-  // Shared per-thread scratch (compute_aggregate runs on pool workers in
-  // Phase D; see poi::scratch_arena for the lifetime contract): the k
-  // dummy aggregates land in one reusable buffer, so steady-state batches
-  // allocate nothing for the frequency queries. The per-type additions
-  // keep their ascending-dummy order, so the sums match the old
-  // vector-at-a-time loop bit-for-bit.
-  poi::FreqArena& arena = poi::scratch_arena();
-  db_->freq_batch(dummies, key.radius, arena);
-  // A dummy that saw zero POIs contributes nothing to either fold (+0 to
-  // every sum, max against 0 sensitivities), so an all-clear fingerprint
-  // skips the row without changing a bit of the aggregate. Sparse regions
-  // at small radii hit this constantly.
-  arena.pack_fingerprints();
-  for (std::size_t d = 0; d < arena.rows(); ++d) {
-    if (poi::fingerprint_empty(arena.fingerprint(d))) continue;
-    const std::span<const std::int32_t> row = arena.row(d);
-    for (std::size_t i = 0; i < m; ++i) {
-      aggregate.sum[i] += row[i];
-      aggregate.sensitivity[i] =
-          std::max(aggregate.sensitivity[i], static_cast<double>(row[i]));
-    }
-  }
-  aggregate.support =
-      defense::aggregate_support(aggregate.sum, aggregate.sensitivity);
+  defense::aggregate_dummies(*db_, dummies, key.radius, aggregate.sum,
+                             aggregate.sensitivity, aggregate.support);
   return aggregate;
 }
 

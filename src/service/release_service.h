@@ -205,7 +205,9 @@ struct ServiceStats {
 class ReleaseService {
  public:
   /// Throws std::invalid_argument on an empty/ill-formed policy list, a
-  /// dangling degrade_policy index, or a zero session capacity.
+  /// policy whose k x |POIs| exceeds INT32_MAX (the exact-fold bound of
+  /// PoiDatabase::freq_sum_max), a dangling degrade_policy index, or a
+  /// zero session capacity.
   ReleaseService(const poi::PoiDatabase& db,
                  const cloak::AdaptiveIntervalCloaker& cloaker,
                  ServiceConfig config);

@@ -143,8 +143,14 @@ std::size_t Quadtree::count_in_box(const geo::BBox& box) const {
 
 std::vector<std::uint32_t> Quadtree::query_box(const geo::BBox& box) const {
   std::vector<std::uint32_t> out;
-  query_rec(start_node(box), box, out);
+  query_box_into(box, out);
   return out;
+}
+
+void Quadtree::query_box_into(const geo::BBox& box,
+                              std::vector<std::uint32_t>& out) const {
+  out.clear();
+  query_rec(start_node(box), box, out);
 }
 
 }  // namespace poiprivacy::spatial

@@ -35,6 +35,11 @@ class Quadtree {
   /// Ids of points inside `box`.
   std::vector<std::uint32_t> query_box(const geo::BBox& box) const;
 
+  /// query_box into a caller-owned buffer: `out` is cleared and refilled
+  /// with the same ids in the same order, keeping its capacity.
+  void query_box_into(const geo::BBox& box,
+                      std::vector<std::uint32_t>& out) const;
+
   const geo::BBox& bounds() const noexcept { return bounds_; }
   std::size_t size() const noexcept { return points_.size(); }
   const geo::Point& point(std::uint32_t id) const { return points_[id]; }

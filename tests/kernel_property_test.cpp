@@ -1,8 +1,8 @@
 // Property tests for the batched frequency-kernel engine:
 //
 //   * every vectorized kernel (dominates, dominates_early_exit,
-//     l1_distance, diff_into, total, top_k_jaccard) against its scalar
-//     reference oracle on 200 seeded random vector pairs, including the
+//     l1_distance, diff_into, total, top_k_jaccard, fold_counts) against
+//     its scalar reference oracle on seeded random inputs, including the
 //     edge shapes the kernels special-case: empty vectors, length 1, odd
 //     lengths, all-zero rows, and saturating INT32_MAX counts;
 //   * the dispatch-tier differential harness: the same oracle sweep
@@ -201,6 +201,79 @@ TEST(KernelTierSweep, TiersAreBitIdenticalToEachOther) {
       poi::pack_fingerprint(a, fp2);
       EXPECT_EQ(fp2, fp);
     }
+  }
+}
+
+/// fold_counts against scalar_ref::fold_counts on the active tier: every
+/// length 0..70 (all vector remainders) plus 177 and 272, four rows folded
+/// in a row per case. Regimes: small counts, all-zero rows, and counts up
+/// to the int32 bound (each total_i + row_i stays <= INT32_MAX, the
+/// kernel's precondition). The row must be all zero afterwards.
+void run_fold_sweep() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 70; ++n) lengths.push_back(n);
+  lengths.push_back(177);
+  lengths.push_back(272);
+  common::Rng rng(20261017);
+  for (const std::size_t n : lengths) {
+    for (int regime = 0; regime < 3; ++regime) {
+      SCOPED_TRACE("len " + std::to_string(n) + " regime " +
+                   std::to_string(regime));
+      FrequencyVector total(n), peak(n);
+      if (regime == 2) {  // start near the bound, leave room for the rows
+        for (std::size_t i = 0; i < n; ++i) {
+          total[i] = static_cast<std::int32_t>(
+              rng.uniform_int(0, kSat - 4 * std::int64_t{1000}));
+          peak[i] = static_cast<std::int32_t>(rng.uniform_int(0, kSat));
+        }
+      }
+      FrequencyVector want_total = total, want_peak = peak;
+      for (int fold = 0; fold < 4; ++fold) {
+        FrequencyVector row(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (regime == 0) {
+            row[i] = static_cast<std::int32_t>(rng.uniform_int(0, 50));
+          } else if (regime == 2) {
+            // The last fold lands exactly on INT32_MAX where it can.
+            const std::int64_t room = kSat - std::int64_t{total[i]};
+            row[i] = fold == 3 && rng.bernoulli(0.5)
+                         ? static_cast<std::int32_t>(room)
+                         : static_cast<std::int32_t>(rng.uniform_int(
+                               0, std::min<std::int64_t>(room, 1000)));
+          }
+        }
+        FrequencyVector want_row = row;
+        poi::scalar_ref::fold_counts(want_row, want_total, want_peak);
+        poi::fold_counts(row, total, peak);
+        ASSERT_EQ(total, want_total) << "fold " << fold;
+        ASSERT_EQ(peak, want_peak) << "fold " << fold;
+        ASSERT_EQ(row, FrequencyVector(n, 0)) << "fold " << fold;
+        ASSERT_EQ(want_row, FrequencyVector(n, 0)) << "fold " << fold;
+      }
+    }
+  }
+}
+
+TEST(KernelOracle, FoldCountsHandComputed) {
+  FrequencyVector row{3, 0, 7}, total{1, 2, 3}, peak{5, 0, 2};
+  poi::fold_counts(row, total, peak);
+  EXPECT_EQ(total, (FrequencyVector{4, 2, 10}));
+  EXPECT_EQ(peak, (FrequencyVector{5, 0, 7}));
+  EXPECT_EQ(row, (FrequencyVector{0, 0, 0}));
+  FrequencyVector no_row, no_total, no_peak;
+  poi::fold_counts(no_row, no_total, no_peak);  // n = 0 touches nothing
+  EXPECT_TRUE(no_total.empty());
+}
+
+// The fold kernel's per-tier sweep, in-process across every tier the
+// host can execute (the per-tier ctest entries repeat it end to end).
+TEST(KernelTierSweep, FoldCountsMatchesScalarOracleOnEveryTier) {
+  TierGuard guard;
+  for (const poi::KernelTier tier : poi::available_kernel_tiers()) {
+    ASSERT_TRUE(poi::set_kernel_tier(tier));
+    SCOPED_TRACE(std::string("tier ") +
+                 std::string(poi::kernel_tier_name(tier)));
+    run_fold_sweep();
   }
 }
 

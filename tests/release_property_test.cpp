@@ -17,7 +17,14 @@
 //     max_injection 0..2 and max_rank 0 or partial. The RNG must also be
 //     left in the same state (same number of draws);
 //   * DpDefense::release against noised_mean followed by
-//     postprocess_release on a generated city.
+//     postprocess_release on a generated city;
+//   * the exact int32 step-(2) fold (defense::aggregate_dummies) against a
+//     frozen copy of the dense double fold it replaced:
+//     ReleaseService::compute_aggregate (with the old empty-row
+//     fingerprint skip) on testville and Beijing over 200 seeds, k in
+//     {1, 16, 32, 64} and r in {0.05, 0.5, 1, 2, 5} km, including regions
+//     whose dummies see no POI; DpDefense::noised_mean and ::release
+//     against the dense fold fed through the noising and greedy oracles.
 //
 // Every comparison is exact: releases, objectives and noised means must
 // be bit-identical.
@@ -36,6 +43,7 @@
 #include "dp/mechanisms.h"
 #include "opt/distortion.h"
 #include "poi/city_model.h"
+#include "service/release_service.h"
 
 namespace poiprivacy {
 namespace {
@@ -316,15 +324,12 @@ TEST(NoisedRelease, MatchesDenseOracleOver200Seeds) {
     policy.beta = gen.uniform(0.0, 0.3);
     policy.max_injection = static_cast<std::int32_t>(gen.uniform_int(0, 2));
 
-    const std::vector<poi::TypeId> support =
-        defense::aggregate_support(sum, sensitivity);
-    std::vector<poi::TypeId> want_support;
+    std::vector<poi::TypeId> support;
     for (std::size_t i = 0; i < m; ++i) {
       if (sum[i] != 0.0 || sensitivity[i] > 0.0) {
-        want_support.push_back(static_cast<poi::TypeId>(i));
+        support.push_back(static_cast<poi::TypeId>(i));
       }
     }
-    ASSERT_EQ(support, want_support) << "seed " << seed;
 
     common::Rng a(seed);
     common::Rng b(seed);
@@ -371,6 +376,170 @@ TEST(NoisedRelease, DpDefenseMatchesNoisedMeanThenPostprocess) {
         config.max_injection);
     EXPECT_EQ(got, want) << "seed " << seed;
     EXPECT_EQ(a.uniform(), b.uniform()) << "seed " << seed;
+  }
+}
+
+/// Frozen copy of the dense step-(2) fold the serving layer and
+/// DpDefense ran before their exact int32 fold: the k rows in a
+/// FreqArena, then per row (ascending dummy order) a double += and a
+/// max against a double per type, and the support rescanned from the
+/// doubles. `skip_empty` adds the serving path's all-clear fingerprint
+/// skip.
+struct DenseAggregate {
+  std::vector<double> sum;
+  std::vector<double> sensitivity;
+  std::vector<poi::TypeId> support;
+};
+
+DenseAggregate oracle_dense_fold(const poi::PoiDatabase& db,
+                                 const std::vector<geo::Point>& dummies,
+                                 double r, bool skip_empty) {
+  const std::size_t m = db.num_types();
+  DenseAggregate out;
+  out.sum.assign(m, 0.0);
+  out.sensitivity.assign(m, 0.0);
+  poi::FreqArena arena;
+  db.freq_batch(dummies, r, arena);
+  arena.pack_fingerprints();
+  for (std::size_t d = 0; d < arena.rows(); ++d) {
+    if (skip_empty && poi::fingerprint_empty(arena.fingerprint(d))) continue;
+    const std::span<const std::int32_t> row = arena.row(d);
+    for (std::size_t i = 0; i < m; ++i) {
+      out.sum[i] += row[i];
+      out.sensitivity[i] =
+          std::max(out.sensitivity[i], static_cast<double>(row[i]));
+    }
+  }
+  for (std::size_t i = 0; i < m; ++i) {
+    if (out.sum[i] != 0.0 || out.sensitivity[i] > 0.0) {
+      out.support.push_back(static_cast<poi::TypeId>(i));
+    }
+  }
+  return out;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// ReleaseService::compute_aggregate (exact int32 fold) against the
+/// frozen dense double fold with the fingerprint skip: sum, sensitivity,
+/// support and k bit for bit. Every seed cloaks a fresh location at each
+/// k and radius; every fifth seed instead uses a region off the city, so
+/// no dummy sees a POI (r = 0.05 km also leaves many rows empty).
+void check_compute_aggregate(const poi::City& city) {
+  const poi::PoiDatabase& db = city.db;
+  common::Rng pop_rng(43);
+  const cloak::AdaptiveIntervalCloaker cloaker(
+      cloak::uniform_population(db.bounds(), 2000, pop_rng), db.bounds());
+  service::ServiceConfig config;
+  for (const std::size_t k : {1, 16, 32, 64}) {
+    config.policies.push_back(
+        {"k" + std::to_string(k), {.k = k, .epsilon = 0.5, .delta = 0.01}});
+  }
+  config.seed = 31;
+  const service::ReleaseService gsp(db, cloaker, config);
+  // The service's aggregate RNG base (ReleaseService seeds it this way).
+  const common::Rng aggregate_base = common::Rng(config.seed).substream(1);
+  const geo::BBox& b = db.bounds();
+  const double width = b.max_x - b.min_x;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    common::Rng where(seed);
+    const geo::Point location{where.uniform(b.min_x, b.max_x),
+                              where.uniform(b.min_y, b.max_y)};
+    for (service::PolicyId policy = 0; policy < config.policies.size();
+         ++policy) {
+      for (const double r : {0.05, 0.5, 1.0, 2.0, 5.0}) {
+        service::ReleaseCacheKey key;
+        key.region =
+            cloaker.cloak(location, config.policies[policy].release.k).region;
+        if (seed % 5 == 4) {  // off the city: uniform dummies, no POIs
+          key.region = {b.max_x + 2.0 * width, b.min_y,
+                        b.max_x + 2.0 * width + 1.0, b.min_y + 1.0};
+        }
+        key.radius = r;
+        key.policy = policy;
+        SCOPED_TRACE("seed " + std::to_string(seed) + " k " +
+                     std::to_string(config.policies[policy].release.k) +
+                     " r " + std::to_string(r));
+        const service::CloakAggregate got = gsp.compute_aggregate(key);
+        common::Rng rng =
+            aggregate_base.substream(service::ReleaseCache::hash(key));
+        const std::vector<geo::Point> dummies = cloaker.region_dummy_locations(
+            key.region, config.policies[policy].release.k, rng);
+        const DenseAggregate want =
+            oracle_dense_fold(db, dummies, r, /*skip_empty=*/true);
+        ASSERT_EQ(got.k, dummies.size());
+        ASSERT_TRUE(same_bits(got.sum, want.sum));
+        ASSERT_TRUE(same_bits(got.sensitivity, want.sensitivity));
+        ASSERT_EQ(got.support, want.support);
+        if (seed % 5 == 4) ASSERT_TRUE(got.support.empty());
+      }
+    }
+  }
+}
+
+TEST(ComputeAggregate, MatchesFrozenDenseFoldOnTestville) {
+  check_compute_aggregate(poi::generate_city(poi::test_preset(), 7));
+}
+
+TEST(ComputeAggregate, MatchesFrozenDenseFoldOnBeijing) {
+  check_compute_aggregate(poi::generate_city(poi::beijing_preset(), 42));
+}
+
+/// DpDefense::noised_mean and ::release against the frozen dense path:
+/// the same dummy draw, the dense fold (no skip, as DpDefense ran it),
+/// then the per-type noising oracle and the full-sort greedy. Both noise
+/// kinds, k from 1 to 64, radii from 0.05 to 5 km; the RNG must end in
+/// the same state.
+TEST(DpDefense, NoisedMeanAndReleaseMatchFrozenDensePath) {
+  const poi::City city = poi::generate_city(poi::test_preset(), 7);
+  const poi::PoiDatabase& db = city.db;
+  common::Rng pop_rng(3);
+  const cloak::AdaptiveIntervalCloaker cloaker(
+      cloak::uniform_population(db.bounds(), 2000, pop_rng), db.bounds());
+  constexpr std::size_t kDummies[] = {1, 16, 32, 64};
+  constexpr double kRadii[] = {0.05, 0.5, 1.0, 2.0, 5.0};
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    defense::DpDefenseConfig config;
+    config.k = kDummies[seed % 4];
+    config.noise = seed % 2 == 0 ? defense::DpNoiseKind::kGaussian
+                                 : defense::DpNoiseKind::kGeometric;
+    config.max_injection = static_cast<std::int32_t>(seed % 3);
+    config.beta = 0.01 * static_cast<double>(seed % 5);
+    const double r = kRadii[(seed / 4) % 5];
+    const defense::DpDefense dp(db, cloaker, config);
+    common::Rng where(seed);
+    const geo::Point location{
+        where.uniform(db.bounds().min_x, db.bounds().max_x),
+        where.uniform(db.bounds().min_y, db.bounds().max_y)};
+    SCOPED_TRACE("seed " + std::to_string(seed));
+
+    // The frozen path: draw, dense fold, then noise (and post-process).
+    const auto dense_mean = [&](common::Rng& rng) {
+      const std::vector<geo::Point> dummies =
+          cloaker.dummy_locations(location, config.k, rng);
+      const DenseAggregate agg =
+          oracle_dense_fold(db, dummies, r, /*skip_empty=*/false);
+      return oracle_noised_mean(agg.sum, agg.sensitivity, dummies.size(),
+                                config, rng);
+    };
+    common::Rng a(100 + seed);
+    common::Rng b(100 + seed);
+    EXPECT_TRUE(same_bits(dp.noised_mean(location, r, a), dense_mean(b)));
+    EXPECT_EQ(a(), b());
+
+    common::Rng c(200 + seed);
+    common::Rng d(200 + seed);
+    opt::DistortionProblem problem;
+    problem.base = dense_mean(d);
+    problem.rank = db.infrequency_rank();
+    problem.beta = config.beta;
+    problem.max_injection = config.max_injection;
+    problem.max_rank = db.rare_type_count();
+    EXPECT_EQ(dp.release(location, r, c), oracle_optimize(problem).release);
+    EXPECT_EQ(c(), d());
   }
 }
 

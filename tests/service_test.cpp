@@ -106,6 +106,35 @@ TEST(ReleaseService, CtorValidatesConfig) {
                std::invalid_argument);
 }
 
+// Phase D folds k dummy rows into exact int32 sums, so k x |POIs| must
+// stay within INT32_MAX. The constructor refuses a policy past that
+// bound, which keeps serving free of exceptions; a direct
+// PoiDatabase::freq_sum_max caller gets the throw instead.
+TEST(ReleaseService, CtorRejectsPolicyAboveExactFoldBound) {
+  const poi::City city = make_city();
+  const auto cloaker = make_cloaker(city.db);
+  const std::size_t limit = city.db.max_fold_centers();
+  ASSERT_EQ(limit, static_cast<std::size_t>(
+                       std::numeric_limits<std::int32_t>::max()) /
+                       city.db.pois().size());
+
+  service::ServiceConfig config = two_policy_config();
+  config.policies[1].release.k = limit + 1;
+  EXPECT_THROW(service::ReleaseService(city.db, cloaker, config),
+               std::invalid_argument);
+  config.policies[1].release.k = limit;
+  EXPECT_NO_THROW(service::ReleaseService(city.db, cloaker, config));
+
+  poi::FrequencyVector sum, max;
+  const std::vector<geo::Point> too_many(limit + 1, geo::Point{4.0, 4.0});
+  EXPECT_THROW(city.db.freq_sum_max(too_many, 1.0, sum, max),
+               std::invalid_argument);
+  const std::vector<geo::Point> one(1, geo::Point{4.0, 4.0});
+  city.db.freq_sum_max(one, 1.0, sum, max);
+  EXPECT_EQ(sum, city.db.freq({4.0, 4.0}, 1.0));
+  EXPECT_EQ(max, sum);
+}
+
 TEST(ReleaseService, BudgetExhaustionOrdering) {
   const poi::City city = make_city();
   const auto cloaker = make_cloaker(city.db);
