@@ -395,8 +395,9 @@ int run_micro_core_json(const std::string& path, bool smoke) {
   }
 
   // Linkage-engine primitives (attack/linkage_engine.h): index build over
-  // a large candidate layer, the per-tile envelope annulus prune, and a
-  // full streamed tracker intersection over a short release chain.
+  // a large candidate layer, the per-tile envelope annulus prune and
+  // annulus mask, and a full streamed tracker intersection over a short
+  // release chain.
   {
     const attack::AttackContext ctx(db);
     // The most populous type gives the largest realistic candidate layer.
@@ -418,6 +419,15 @@ int run_micro_core_json(const std::string& path, bool smoke) {
                kernel_iters / 10 + 1, [&] {
                  keep(index.any_in_annulus(location_for(++loc), 1.0, 3.0,
                                            {}));
+               });
+    // The tracker's per-frontier reach row: every layer candidate in the
+    // same 1-3 km annulus, into a reused bitmask.
+    std::vector<std::uint64_t> mask((layer.size() + 63) / 64);
+    emit_bench(json, "linkage_annulus_mask", kernel_reps,
+               kernel_iters / 10 + 1, [&] {
+                 std::fill(mask.begin(), mask.end(), 0);
+                 index.annulus_mask_into(location_for(++loc), 1.0, 3.0, mask);
+                 keep(mask.data());
                });
 
     // Tracker fixture: a pairwise attack trained on a small taxi corpus,

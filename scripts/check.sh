@@ -18,14 +18,17 @@
 #      tier at --threads 1/2/8 — SIMD is an implementation detail,
 #      never an observable one,
 #   7. an Address+UB-Sanitizer build (float-cast-overflow included)
-#      running the kernel, fingerprint, tile-window, spatial, cloak and
-#      release property suites and the service suite under both the
-#      native and the scalar tier (the explicit SIMD kernels read memory
-#      in 32-byte gulps, the quadtree's exact-node descent indexes
-#      children by hand, the release rounding casts doubles to integers,
-#      and the grid index casts query coordinates to cell numbers, which
-#      service_test drives with infinite, NaN and 1e300 requests;
-#      ASan/UBSan prove all four stay in bounds),
+#      running the kernel, fingerprint, tile-window, spatial, cloak,
+#      release and linkage property suites and the service suite under
+#      both the native and the scalar tier (the explicit SIMD kernels
+#      read memory in 32-byte gulps, the quadtree's exact-node descent
+#      indexes children by hand, the release rounding casts doubles to
+#      integers, the grid index casts query coordinates to cell numbers,
+#      which service_test drives with infinite, NaN and 1e300 requests,
+#      and the tile grid casts coordinates to tile numbers, which the
+#      tile-window and linkage suites drive with the same values and the
+#      block index uses to pick the bucket rows a query visits;
+#      ASan/UBSan prove all five stay in bounds),
 #   8. the serving-layer concurrency gate: the session-shard stress,
 #      property and net-framing suites re-run under the ThreadSanitizer
 #      build, then a Release loopback smoke drives the TCP front-end
@@ -116,11 +119,12 @@ for threads in 1 2 8; do
   echo "poibench smoke: scalar == native tier at --threads $threads"
 done
 
-echo "== [7/11] ASan/UBSan build + kernel/spatial/cloak/service suites per tier =="
+echo "== [7/11] ASan/UBSan build + kernel/spatial/cloak/linkage/service suites per tier =="
 cmake -B build-asan -S . -DPOIPRIVACY_SANITIZE=address >/dev/null
 asan_suites=(kernel_property_test fingerprint_property_test
              tile_window_property_test spatial_property_test
-             cloak_property_test release_property_test service_test)
+             cloak_property_test release_property_test service_test
+             linkage_property_test)
 cmake --build build-asan -j "$jobs" --target "${asan_suites[@]}"
 for tier in native scalar; do
   env_prefix=()

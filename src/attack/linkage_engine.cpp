@@ -52,6 +52,13 @@ SqBounds bbox_distance_sq_bounds(geo::Point p, const geo::BBox& b) noexcept {
   return {dx_lo * dx_lo + dy_lo * dy_lo, dx_hi * dx_hi + dy_hi * dy_hi};
 }
 
+/// Largest |hi| for which a query visits only its reach span. The
+/// one-tile margin needs hi² finite and a whole tile to stay visible
+/// next to hi after rounding. Past this bound, far beyond any distance
+/// on Earth, a query visits every bucket: there an overflowing hi² can
+/// make the squared test accept candidates at any distance.
+constexpr double kMaxLocalReachKm = 1e6;
+
 }  // namespace
 
 // ---- CandidateBlockIndex ----------------------------------------------------
@@ -62,12 +69,13 @@ void CandidateBlockIndex::build(const AttackContext& ctx,
   buckets_.clear();
   sort_scratch_.clear();
 
-  const poi::TileAggregates& tiles = ctx.tiles();
-  const std::int32_t nx = tiles.nx();
+  tiles_ = &ctx.tiles();
+  const std::int32_t nx = tiles_->nx();
+  row_start_.assign(static_cast<std::size_t>(tiles_->ny()) + 1, 0);
   sort_scratch_.reserve(candidates.size());
   for (std::uint32_t i = 0; i < candidates.size(); ++i) {
     const poi::TileAggregates::Tile t =
-        tiles.tile_of(ctx.db().poi(candidates[i]).pos);
+        tiles_->tile_of(ctx.db().poi(candidates[i]).pos);
     sort_scratch_.emplace_back(t.iy * nx + t.ix, i);
   }
   // Pair order (tile id, candidate index) is a total order, so the sort
@@ -80,8 +88,9 @@ void CandidateBlockIndex::build(const AttackContext& ctx,
     const geo::Point pos = ctx.db().poi(candidates[index]).pos;
     if (buckets_.empty() || sort_scratch_[k - 1].first != tile) {
       buckets_.push_back(Bucket{static_cast<std::uint32_t>(k),
-                                static_cast<std::uint32_t>(k),
+                                static_cast<std::uint32_t>(k), tile % nx,
                                 geo::BBox{pos.x, pos.y, pos.x, pos.y}});
+      ++row_start_[tile / nx + 1];
     }
     Bucket& bucket = buckets_.back();
     bucket.end = static_cast<std::uint32_t>(k + 1);
@@ -91,6 +100,40 @@ void CandidateBlockIndex::build(const AttackContext& ctx,
     bucket.bbox.max_y = std::max(bucket.bbox.max_y, pos.y);
     entries_.push_back(Entry{index, pos});
   }
+  for (std::size_t iy = 1; iy < row_start_.size(); ++iy) {
+    row_start_[iy] += row_start_[iy - 1];
+  }
+}
+
+CandidateBlockIndex::TileSpan CandidateBlockIndex::reach_span(
+    geo::Point p, double hi_km) const noexcept {
+  const int nx = tiles_->nx();
+  const int ny = tiles_->ny();
+  // The squared test sees only hi², so a negative hi reaches |hi|.
+  const double reach = std::abs(hi_km);
+  if (!(reach <= kMaxLocalReachKm)) return {0, 0, nx - 1, ny - 1};
+  const poi::TileAggregates::Tile lo =
+      tiles_->tile_of({p.x - reach, p.y - reach});
+  const poi::TileAggregates::Tile hi =
+      tiles_->tile_of({p.x + reach, p.y + reach});
+  return {std::max(0, lo.ix - 1), std::max(0, lo.iy - 1),
+          std::min(nx - 1, hi.ix + 1), std::min(ny - 1, hi.iy + 1)};
+}
+
+template <typename Visit>
+bool CandidateBlockIndex::any_reachable_bucket(geo::Point p, double hi_km,
+                                               Visit&& visit) const noexcept {
+  if (buckets_.empty()) return false;
+  const TileSpan span = reach_span(p, hi_km);
+  for (int iy = span.y0; iy <= span.y1; ++iy) {
+    const Bucket* bucket = buckets_.data() + row_start_[iy];
+    const Bucket* const row_end = buckets_.data() + row_start_[iy + 1];
+    while (bucket != row_end && bucket->ix < span.x0) ++bucket;
+    for (; bucket != row_end && bucket->ix <= span.x1; ++bucket) {
+      if (visit(*bucket)) return true;
+    }
+  }
+  return false;
 }
 
 bool CandidateBlockIndex::any_in_annulus(
@@ -98,9 +141,9 @@ bool CandidateBlockIndex::any_in_annulus(
     std::span<const std::uint64_t> alive) const noexcept {
   const double lo_sq = lo_km * lo_km;
   const double hi_sq = hi_km * hi_km;
-  for (const Bucket& bucket : buckets_) {
+  return any_reachable_bucket(p, hi_km, [&](const Bucket& bucket) {
     const SqBounds b = bbox_distance_sq_bounds(p, bucket.bbox);
-    if (b.min_sq > hi_sq || b.max_sq < lo_sq) continue;  // whole tile out
+    if (b.min_sq > hi_sq || b.max_sq < lo_sq) return false;  // whole tile out
     const bool whole_tile_in = b.min_sq >= lo_sq && b.max_sq <= hi_sq;
     for (std::uint32_t k = bucket.begin; k < bucket.end; ++k) {
       const Entry& e = entries_[k];
@@ -109,8 +152,8 @@ bool CandidateBlockIndex::any_in_annulus(
       const double d_sq = geo::distance_sq(p, e.pos);
       if (d_sq >= lo_sq && d_sq <= hi_sq) return true;
     }
-  }
-  return false;
+    return false;
+  });
 }
 
 void CandidateBlockIndex::annulus_mask_into(
@@ -118,20 +161,21 @@ void CandidateBlockIndex::annulus_mask_into(
     std::span<std::uint64_t> out) const noexcept {
   const double lo_sq = lo_km * lo_km;
   const double hi_sq = hi_km * hi_km;
-  for (const Bucket& bucket : buckets_) {
+  any_reachable_bucket(p, hi_km, [&](const Bucket& bucket) {
     const SqBounds b = bbox_distance_sq_bounds(p, bucket.bbox);
-    if (b.min_sq > hi_sq || b.max_sq < lo_sq) continue;  // whole tile out
-    if (b.min_sq >= lo_sq && b.max_sq <= hi_sq) {        // whole tile in
+    if (b.min_sq > hi_sq || b.max_sq < lo_sq) return false;  // whole tile out
+    if (b.min_sq >= lo_sq && b.max_sq <= hi_sq) {            // whole tile in
       for (std::uint32_t k = bucket.begin; k < bucket.end; ++k) {
         set_bit(out, entries_[k].index);
       }
-      continue;
+      return false;
     }
     for (std::uint32_t k = bucket.begin; k < bucket.end; ++k) {
       const double d_sq = geo::distance_sq(p, entries_[k].pos);
       if (d_sq >= lo_sq && d_sq <= hi_sq) set_bit(out, entries_[k].index);
     }
-  }
+    return false;
+  });
 }
 
 // ---- solve_chain ------------------------------------------------------------

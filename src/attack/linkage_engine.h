@@ -9,13 +9,20 @@
 //
 //   * CandidateBlockIndex — a blocking index over one release layer's
 //     candidate anchors. Candidates are binned by poi::TileAggregates
-//     tile, each bucket keeping the exact bbox of its members, so a
-//     distance-annulus query first compares the bucket bbox's min/max
-//     distance against the annulus: one whole tile of candidates is
-//     accepted or rejected per envelope comparison, and only straddling
-//     buckets pay per-candidate squared-distance tests. Results are
-//     exact — identical to the all-pairs scan bit for bit (squared
-//     distances against squared bounds on both sides; pinned by
+//     tile into buckets sorted by tile id (row-major), each bucket
+//     keeping its tile column and the exact bbox of its members, plus
+//     one offset per tile row into the buckets. A distance-annulus
+//     query around p visits only the tile rows and columns between
+//     tile_of(p - hi) - 1 and tile_of(p + hi) + 1; a bucket outside
+//     that range lies at least one whole tile beyond hi (tile_of is
+//     monotone and clamps out-of-bounds points onto their side), so the
+//     exact test would reject it by a margin far beyond rounding. Each
+//     visited bucket compares its bbox's min/max distance against the
+//     annulus: one whole tile of candidates is accepted or rejected per
+//     envelope comparison, and only straddling buckets pay
+//     per-candidate squared-distance tests. Results are exact —
+//     identical to the all-pairs scan bit for bit (squared distances
+//     against squared bounds on both sides; pinned by
 //     tests/linkage_property_test.cpp).
 //
 //   * solve_chain — the chain attack's backward consistency sweep over
@@ -92,11 +99,25 @@ class CandidateBlockIndex {
   };
   struct Bucket {
     std::uint32_t begin, end;  ///< entry range [begin, end)
+    std::int32_t ix;           ///< tile column
     geo::BBox bbox;            ///< exact bbox of the member positions
   };
+  /// Inclusive tile range a query must visit (see the file header).
+  struct TileSpan {
+    int x0, y0, x1, y1;
+  };
+  TileSpan reach_span(geo::Point p, double hi_km) const noexcept;
+  /// Calls visit(bucket) for every bucket in reach_span(p, hi_km), row by
+  /// row, until visit returns true; returns whether one did.
+  template <typename Visit>
+  bool any_reachable_bucket(geo::Point p, double hi_km,
+                            Visit&& visit) const noexcept;
 
+  const poi::TileAggregates* tiles_ = nullptr;
   std::vector<Entry> entries_;   ///< sorted by (tile id, candidate index)
-  std::vector<Bucket> buckets_;  ///< one per non-empty tile
+  std::vector<Bucket> buckets_;  ///< one per non-empty tile, by tile id
+  /// Tile row iy's buckets are [row_start_[iy], row_start_[iy + 1]).
+  std::vector<std::uint32_t> row_start_;
   std::vector<std::pair<std::int32_t, std::uint32_t>> sort_scratch_;
 };
 

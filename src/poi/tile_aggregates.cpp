@@ -19,17 +19,15 @@ TileAggregates::TileAggregates(std::span<const Poi> pois,
 
   // Bin POIs into per-type tile counts (stored straight into the prefix
   // buffers at offset (iy+1, ix+1), then summed in place). Binning MUST
-  // use the same x -> tile formula as rect_of: both are monotone in x, so
-  // any POI within `radius` of a probe lands inside the probe's rect even
-  // when multiply-by-inverse rounds differently than an exact divide.
+  // use the same x -> tile formula as rect_of: both go through tile_of,
+  // which is monotone in x, so any POI within `radius` of a probe lands
+  // inside the probe's rect even when multiply-by-inverse rounds
+  // differently than an exact divide.
   type_prefix_.assign(plane_stride_ * num_types, 0);
   total_prefix_.assign(plane_stride_, 0);
   for (const Poi& p : pois) {
     assert(p.type < num_types);
-    const int ix = std::clamp(
-        static_cast<int>((p.pos.x - bounds_.min_x) * inv_tile_km_), 0, nx_ - 1);
-    const int iy = std::clamp(
-        static_cast<int>((p.pos.y - bounds_.min_y) * inv_tile_km_), 0, ny_ - 1);
+    const auto [ix, iy] = tile_of(p.pos);
     const std::size_t at = static_cast<std::size_t>(iy + 1) * w + (ix + 1);
     ++type_prefix_[p.type * plane_stride_ + at];
     ++total_prefix_[at];
@@ -56,16 +54,9 @@ TileAggregates::TileAggregates(std::span<const Poi> pois,
 
 TileAggregates::Rect TileAggregates::rect_of(geo::Point p,
                                              double radius) const noexcept {
-  const auto tile_x = [this](double x) {
-    return std::clamp(static_cast<int>((x - bounds_.min_x) * inv_tile_km_), 0,
-                      nx_ - 1);
-  };
-  const auto tile_y = [this](double y) {
-    return std::clamp(static_cast<int>((y - bounds_.min_y) * inv_tile_km_), 0,
-                      ny_ - 1);
-  };
-  return {tile_x(p.x - radius), tile_y(p.y - radius), tile_x(p.x + radius),
-          tile_y(p.y + radius)};
+  const Tile lo = tile_of({p.x - radius, p.y - radius});
+  const Tile hi = tile_of({p.x + radius, p.y + radius});
+  return {lo.ix, lo.iy, hi.ix, hi.iy};
 }
 
 std::int64_t TileAggregates::rect_sum(const std::int32_t* plane, int width,
@@ -101,10 +92,17 @@ std::int64_t TileAggregates::Window::total_bound() const noexcept {
 }
 
 TileAggregates::Tile TileAggregates::tile_of(geo::Point p) const noexcept {
-  return {std::clamp(static_cast<int>((p.x - bounds_.min_x) * inv_tile_km_), 0,
-                     nx_ - 1),
-          std::clamp(static_cast<int>((p.y - bounds_.min_y) * inv_tile_km_), 0,
-                     ny_ - 1)};
+  // Clamp in floating point before the cast: a far-off, infinite or NaN
+  // coordinate would overflow int. NaN fails `>= 0.0` and lands in tile 0.
+  // For in-range values this truncates exactly like casting first and
+  // clamping the int.
+  const auto clamp_tile = [](double f, int n) {
+    f = f >= 0.0 ? f : 0.0;
+    f = f <= static_cast<double>(n - 1) ? f : static_cast<double>(n - 1);
+    return static_cast<int>(f);
+  };
+  return {clamp_tile((p.x - bounds_.min_x) * inv_tile_km_, nx_),
+          clamp_tile((p.y - bounds_.min_y) * inv_tile_km_, ny_)};
 }
 
 TileAggregates::Window TileAggregates::tile_window(int ix, int iy,
@@ -117,8 +115,15 @@ TileAggregates::Window TileAggregates::tile_window(int ix, int iy,
   // of an EDGE tile can sit arbitrarily far outside the bounds, but
   // their rects clamp into the grid on the same side, so the expanded,
   // grid-clamped rectangle below still contains them.
-  const int expand =
-      static_cast<int>(std::ceil(radius * inv_tile_km_)) + 1;
+  // The expansion is clamped in floating point before the cast, like
+  // tile_of. Past the grid's extent it covers the whole grid, and so
+  // does a NaN radius (it fails `<=`; its member windows all clamp into
+  // tile 0). A negative radius expands by the +1 margin only.
+  const double grid = static_cast<double>(std::max(nx_, ny_));
+  double reach = std::ceil(radius * inv_tile_km_);
+  reach = reach <= grid ? reach : grid;
+  reach = reach >= 0.0 ? reach : 0.0;
+  const int expand = static_cast<int>(reach) + 1;
   Window w;
   w.owner_ = this;
   w.x0_ = std::max(0, ix - expand);

@@ -66,7 +66,9 @@ class TileAggregates {
   Window window(geo::Point p, double radius) const noexcept;
 
   /// Tile coordinates a probe bins into (out-of-bounds probes clamp into
-  /// the edge tiles, exactly like the POI binning).
+  /// the edge tiles, exactly like the POI binning). Monotone in each
+  /// coordinate and defined for every double: ±inf and far-off values
+  /// clamp onto their side, NaN lands in tile 0.
   struct Tile {
     int ix, iy;
   };

@@ -23,7 +23,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
 #include <vector>
@@ -389,40 +391,231 @@ TEST(LinkageProperty, ParallelLinkageMatchesSerial) {
   EXPECT_EQ(serial, parallel);
 }
 
+/// The block index's queries at one probe against a linear scan of
+/// `layer` in the same squared form: annulus_mask_into, and
+/// any_in_annulus with every candidate alive and with the `alive` mask.
+::testing::AssertionResult annulus_matches_linear_scan(
+    const CandidateBlockIndex& index, const poi::PoiDatabase& db,
+    std::span<const poi::PoiId> layer, geo::Point p, double lo, double hi,
+    std::span<const std::uint64_t> alive) {
+  const auto bit = [](std::span<const std::uint64_t> words, std::size_t j) {
+    return ((words[j >> 6] >> (j & 63)) & 1) != 0;
+  };
+  std::vector<std::uint64_t> mask((layer.size() + 63) / 64, 0);
+  index.annulus_mask_into(p, lo, hi, mask);
+  bool any_expected = false;
+  bool any_alive_expected = false;
+  for (std::size_t j = 0; j < layer.size(); ++j) {
+    const double d_sq = geo::distance_sq(p, db.poi(layer[j]).pos);
+    const bool in = d_sq >= lo * lo && d_sq <= hi * hi;
+    if (bit(mask, j) != in) {
+      return ::testing::AssertionFailure()
+             << "mask bit " << j << " of " << layer.size() << " is "
+             << bit(mask, j) << " at probe (" << p.x << ", " << p.y
+             << ") lo=" << lo << " hi=" << hi;
+    }
+    any_expected = any_expected || in;
+    any_alive_expected = any_alive_expected || (in && bit(alive, j));
+  }
+  if (index.any_in_annulus(p, lo, hi, {}) != any_expected) {
+    return ::testing::AssertionFailure()
+           << "any_in_annulus (all alive) != " << any_expected << " at probe ("
+           << p.x << ", " << p.y << ") lo=" << lo << " hi=" << hi;
+  }
+  if (index.any_in_annulus(p, lo, hi, alive) != any_alive_expected) {
+    return ::testing::AssertionFailure()
+           << "any_in_annulus (masked) != " << any_alive_expected
+           << " at probe (" << p.x << ", " << p.y << ") lo=" << lo
+           << " hi=" << hi;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// A random alive mask over n candidates with at least one bit set (when
+/// n > 0); densities range from sparse to nearly full.
+std::vector<std::uint64_t> random_alive(common::Rng& rng, std::size_t n) {
+  std::vector<std::uint64_t> alive((n + 63) / 64, 0);
+  if (n == 0) return alive;
+  const double density = std::array{0.02, 0.3, 0.9}[rng.uniform_int(0, 2)];
+  for (std::size_t j = 0; j < n; ++j) {
+    if (rng.bernoulli(density)) alive[j >> 6] |= std::uint64_t{1} << (j & 63);
+  }
+  const auto j = static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  alive[j >> 6] |= std::uint64_t{1} << (j & 63);
+  return alive;
+}
+
+/// Drives `probes` random queries at `layer`: probes within 1 km of the
+/// bounds or 50 km outside them, and annuli that are ordinary, hi = 0,
+/// lo == hi (sometimes exactly a candidate's distance), or reach beyond
+/// the city diagonal; each query also runs any_in_annulus under a fresh
+/// random alive mask.
+void check_random_annuli(const CandidateBlockIndex& index,
+                         const poi::PoiDatabase& db,
+                         std::span<const poi::PoiId> layer, int probes,
+                         common::Rng& rng) {
+  const geo::BBox& b = db.bounds();
+  const double diagonal = std::hypot(b.width(), b.height());
+  for (int probe = 0; probe < probes; ++probe) {
+    geo::Point p{rng.uniform(b.min_x - 1.0, b.max_x + 1.0),
+                 rng.uniform(b.min_y - 1.0, b.max_y + 1.0)};
+    if (rng.bernoulli(0.25)) {
+      const double side = rng.bernoulli(0.5) ? 50.0 : -50.0;
+      const int axes = static_cast<int>(rng.uniform_int(0, 2));
+      if (axes != 1) p.x = side > 0 ? b.max_x + side : b.min_x + side;
+      if (axes != 0) p.y = side > 0 ? b.max_y + side : b.min_y + side;
+    }
+    double lo = rng.uniform(0.0, 3.0);
+    double hi = lo + rng.uniform(0.0, 4.0);
+    switch (rng.uniform_int(0, 4)) {
+      case 0:
+        break;
+      case 1:
+        lo = hi = 0.0;
+        break;
+      case 2:
+        hi = lo;
+        break;
+      case 3:
+        hi = diagonal + rng.uniform(0.0, 60.0);
+        break;
+      default:
+        if (!layer.empty()) {
+          const poi::PoiId id = layer[static_cast<std::size_t>(
+              rng.uniform_int(0, static_cast<std::int64_t>(layer.size()) - 1))];
+          lo = hi = std::sqrt(geo::distance_sq(p, db.poi(id).pos));
+        }
+        break;
+    }
+    const std::vector<std::uint64_t> alive = random_alive(rng, layer.size());
+    ASSERT_TRUE(annulus_matches_linear_scan(index, db, layer, p, lo, hi, alive))
+        << "probe " << probe;
+  }
+}
+
 TEST(LinkageProperty, BlockIndexAnnulusMatchesLinearScan) {
   const LinkageFixture& f = *fixtures().front();
   const AttackContext ctx(f.city.db);
   common::Rng rng(5);
-  // Candidate pool: every POI id, shuffled, in odd-size slices.
+  // Candidate pool: every POI id, shuffled, in odd-size slices and whole.
   std::vector<poi::PoiId> ids(f.city.db.pois().size());
   for (std::size_t i = 0; i < ids.size(); ++i) {
     ids[i] = static_cast<poi::PoiId>(i);
   }
   rng.shuffle(ids);
   CandidateBlockIndex index;
-  for (const std::size_t n : {0u, 1u, 7u, 23u, 40u}) {
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                              std::size_t{23}, std::size_t{40}, ids.size()}) {
     const std::span<const poi::PoiId> slice(
         ids.data(), std::min<std::size_t>(n, ids.size()));
     index.build(ctx, slice);
     ASSERT_EQ(index.size(), slice.size());
-    const std::size_t words = (slice.size() + 63) / 64;
-    for (int probe = 0; probe < 50; ++probe) {
-      const geo::BBox& b = f.city.db.bounds();
-      const geo::Point p{rng.uniform(b.min_x - 1.0, b.max_x + 1.0),
-                         rng.uniform(b.min_y - 1.0, b.max_y + 1.0)};
-      const double lo = rng.uniform(0.0, 3.0);
-      const double hi = lo + rng.uniform(0.0, 4.0);
-      std::vector<std::uint64_t> mask(words, 0);
-      index.annulus_mask_into(p, lo, hi, mask);
-      bool any_expected = false;
-      for (std::size_t j = 0; j < slice.size(); ++j) {
-        const double d_sq = geo::distance_sq(p, f.city.db.poi(slice[j]).pos);
-        const bool in = d_sq >= lo * lo && d_sq <= hi * hi;
-        const bool got = (mask[j >> 6] >> (j & 63)) & 1;
-        ASSERT_EQ(got, in) << "n=" << n << " j=" << j;
-        any_expected = any_expected || in;
+    check_random_annuli(index, f.city.db, slice, 100, rng);
+  }
+}
+
+// The whole largest-type layer of the Beijing preset (the tracker's
+// realistic worst case) and the whole POI set, so a query's reach covers
+// a small part of a grid of hundreds of buckets.
+TEST(LinkageProperty, BlockIndexAnnulusMatchesLinearScanOnLargeLayers) {
+  const poi::City city = poi::generate_city(poi::beijing_preset(), 42);
+  const poi::PoiDatabase& db = city.db;
+  const AttackContext ctx(db);
+  poi::TypeId big_type = 0;
+  for (poi::TypeId t = 0; t < db.num_types(); ++t) {
+    if (db.pois_of_type(t).size() > db.pois_of_type(big_type).size()) {
+      big_type = t;
+    }
+  }
+  std::vector<poi::PoiId> all(db.pois().size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    all[i] = static_cast<poi::PoiId>(i);
+  }
+  common::Rng rng(17);
+  CandidateBlockIndex index;
+  index.build(ctx, db.pois_of_type(big_type));
+  EXPECT_GE(index.num_buckets(), 500u);
+  check_random_annuli(index, db, db.pois_of_type(big_type), 300, rng);
+  index.build(ctx, all);
+  EXPECT_GE(index.num_buckets(), 1000u);
+  check_random_annuli(index, db, all, 100, rng);
+}
+
+// Candidates and probes on tile edges (1 km tiles from the origin), one
+// ulp either side of them, and outside the bounds, where they clamp into
+// the edge tiles; integer annuli put candidates exactly on lo and hi.
+TEST(LinkageProperty, BlockIndexAnnulusExactOnTileEdges) {
+  poi::PoiTypeRegistry registry;
+  const poi::TypeId type = registry.intern("edge");
+  std::vector<double> coords;
+  for (const double c : {-50.0, -0.5, 0.0, 1.0, 2.0, 3.0, 5.0, 7.0, 8.0,
+                         10.0, 10.5, 60.0}) {
+    coords.push_back(std::nextafter(c, -1e9));
+    coords.push_back(c);
+    coords.push_back(std::nextafter(c, 1e9));
+  }
+  std::vector<poi::Poi> pois;
+  for (const double x : coords) {
+    for (const double y : coords) {
+      pois.push_back({static_cast<poi::PoiId>(pois.size()), type, {x, y}});
+    }
+  }
+  const poi::PoiDatabase db("tile-edges", std::move(pois), std::move(registry),
+                            {0.0, 0.0, 10.0, 10.0});
+  const AttackContext ctx(db);
+  std::vector<poi::PoiId> layer(db.pois().size());
+  for (std::size_t i = 0; i < layer.size(); ++i) {
+    layer[i] = static_cast<poi::PoiId>(i);
+  }
+  CandidateBlockIndex index;
+  index.build(ctx, layer);
+  common::Rng rng(29);
+  for (const double px : {-0.5, 0.0, 2.0, 3.0, 7.0, 10.0, 12.0}) {
+    for (const double py : {0.0, 1.0, 5.0, 10.0}) {
+      for (const double lo : {0.0, 1.0, 2.0, 3.0}) {
+        for (const double width : {0.0, 1.0, 2.0, 5.0}) {
+          const std::vector<std::uint64_t> alive =
+              random_alive(rng, layer.size());
+          ASSERT_TRUE(annulus_matches_linear_scan(
+              index, db, layer, {px, py}, lo, lo + width, alive));
+          ASSERT_TRUE(annulus_matches_linear_scan(
+              index, db, layer,
+              {std::nextafter(px, 1e9), std::nextafter(py, -1e9)}, lo,
+              lo + width, alive));
+        }
       }
-      EXPECT_EQ(index.any_in_annulus(p, lo, hi, {}), any_expected);
+    }
+  }
+  check_random_annuli(index, db, layer, 200, rng);
+}
+
+// Non-finite and astronomically large probes and annuli: the index
+// clamps its visited tile range and still agrees with the linear scan,
+// including where hi² overflows to infinity and accepts every candidate.
+TEST(LinkageProperty, BlockIndexAnnulusMatchesLinearScanOnNonFiniteInputs) {
+  const LinkageFixture& f = *fixtures().front();
+  const AttackContext ctx(f.city.db);
+  std::vector<poi::PoiId> layer(f.city.db.pois().size());
+  for (std::size_t i = 0; i < layer.size(); ++i) {
+    layer[i] = static_cast<poi::PoiId>(i);
+  }
+  CandidateBlockIndex index;
+  index.build(ctx, layer);
+  common::Rng rng(31);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::array extremes{kNaN, kInf, -kInf, 1e300, -1e300, 4.0};
+  for (const double px : extremes) {
+    for (const double py : extremes) {
+      for (const double lo : {0.0, 2.0, kNaN, 1e300}) {
+        for (const double hi : {3.0, -3.0, kNaN, kInf, -kInf, 1e300, 1e200}) {
+          const std::vector<std::uint64_t> alive =
+              random_alive(rng, layer.size());
+          ASSERT_TRUE(annulus_matches_linear_scan(index, f.city.db, layer,
+                                                  {px, py}, lo, hi, alive));
+        }
+      }
     }
   }
 }

@@ -8,12 +8,16 @@
 //   * the coarse tile_window(ix, iy, r) dominates the per-candidate
 //     window bounds of every probe binned into that tile, so one coarse
 //     rare-type shortfall soundly rejects the whole tile;
+//   * NaN, infinite and far-off probes and radii clamp into the grid
+//     without overflowing an int cast, and keep both properties above;
 //   * BatchedEnvelope returns exactly the survivor set (and per-candidate
 //     verdict sequence) of the unbatched per-candidate exact_prune loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -94,6 +98,59 @@ TEST_P(SeededTileCity, CoarseTileWindowDominatesMemberWindows) {
     for (poi::TypeId t = 0; t < c.db.num_types(); ++t) {
       ASSERT_GE(coarse.type_bound(t), fine.type_bound(t))
           << "probe (" << p.x << ", " << p.y << ") r=" << r << " type=" << t;
+    }
+  }
+}
+
+// Non-finite and far-off probes and radii (NaN, ±inf, ±1e300): tile_of
+// clamps in floating point before it casts, so every probe lands in a
+// grid tile (NaN in tile 0, far-off values on their own side) instead of
+// overflowing int, which the ASan/UBSan build (float-cast-overflow)
+// aborts on. Where the covering rectangle is not inverted, the window
+// still equals the brute-force count. For every radius that is not
+// negative the coarse tile window still dominates it, and for a
+// negative one it still stays inside the grid (ASan checks its reads).
+TEST_P(SeededTileCity, ExtremeProbesAndRadiiClampIntoTheGrid) {
+  const poi::City c = city();
+  const TileAggregates& tiles = c.db.tile_aggregates();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::array values{kNaN, kInf, -kInf, 1e300, -1e300, 3.5};
+  for (const double v : {kNaN, kInf, -kInf, 1e300, -1e300}) {
+    const TileAggregates::Tile t = tiles.tile_of({v, v});
+    EXPECT_EQ(t.ix, v > 0 ? tiles.nx() - 1 : 0) << v;
+    EXPECT_EQ(t.iy, v > 0 ? tiles.ny() - 1 : 0) << v;
+  }
+  for (const double px : values) {
+    for (const double py : values) {
+      for (const double r : {kNaN, kInf, -kInf, 1e300, -1e300, 1.5}) {
+        const geo::Point p{px, py};
+        const TileAggregates::Tile lo = tiles.tile_of({p.x - r, p.y - r});
+        const TileAggregates::Tile hi = tiles.tile_of({p.x + r, p.y + r});
+        const TileAggregates::Window win = tiles.window(p, r);
+        if (lo.ix <= hi.ix && lo.iy <= hi.iy) {
+          std::int64_t expect_total = 0;
+          for (const poi::Poi& poi : c.db.pois()) {
+            const TileAggregates::Tile home = tiles.tile_of(poi.pos);
+            expect_total += home.ix >= lo.ix && home.ix <= hi.ix &&
+                            home.iy >= lo.iy && home.iy <= hi.iy;
+          }
+          ASSERT_EQ(win.total_bound(), expect_total)
+              << "probe (" << px << ", " << py << ") r=" << r;
+        }
+        const TileAggregates::Tile home = tiles.tile_of(p);
+        const TileAggregates::Window coarse =
+            tiles.tile_window(home.ix, home.iy, r);
+        const std::int64_t coarse_total = coarse.total_bound();
+        if (r < 0) continue;  // no disk, so nothing to dominate
+        ASSERT_GE(coarse_total, win.total_bound())
+            << "probe (" << px << ", " << py << ") r=" << r;
+        for (poi::TypeId t = 0; t < c.db.num_types(); ++t) {
+          ASSERT_GE(coarse.type_bound(t), win.type_bound(t))
+              << "probe (" << px << ", " << py << ") r=" << r
+              << " type=" << t;
+        }
+      }
     }
   }
 }
