@@ -253,29 +253,6 @@ int run_micro_core_json(const std::string& path, bool smoke) {
                      {fps_a.data() + p * words, words},
                      {fps_b.data() + p * words, words}));
                });
-    // Phase D's sum/max fold. Each call first refills the row from the
-    // corpus (an m-int copy, the same in both rows), because the fold
-    // zeroes it.
-    poi::FrequencyVector fold_row(m);
-    poi::FrequencyVector fold_total(m, 0), fold_peak(m, 0);
-    const auto refill = [&] {
-      const poi::FrequencyVector& src = c.as[i++ & pair_mask];
-      std::copy(src.begin(), src.end(), fold_row.begin());
-    };
-    emit_bench(json, "scalar_fold_counts" + tag, kernel_reps, kernel_iters,
-               [&] {
-                 refill();
-                 poi::scalar_ref::fold_counts(fold_row, fold_total, fold_peak);
-                 keep(fold_total.data());
-               });
-    std::fill(fold_total.begin(), fold_total.end(), 0);
-    std::fill(fold_peak.begin(), fold_peak.end(), 0);
-    emit_bench(json, "kernel_fold_counts" + tag, kernel_reps, kernel_iters,
-               [&] {
-                 refill();
-                 poi::fold_counts(fold_row, fold_total, fold_peak);
-                 keep(fold_total.data());
-               });
     emit_bench(json, "scalar_topk_jaccard" + tag, kernel_reps,
                kernel_iters / 10 + 1, [&] {
                  const std::size_t p = i++ & pair_mask;
@@ -360,8 +337,9 @@ int run_micro_core_json(const std::string& path, bool smoke) {
                 poi::generate_city(poi::nyc_preset(), 42));
 
   // Serving Phase D: ReleaseService::compute_aggregate, the work of one
-  // cache miss (the dummy draw, k Freq scans folded into exact sums and
-  // maxima, and the support), on Beijing at r = 1 km. Each call takes the
+  // cache miss (the dummy draw, the k dummies' Freq counts reduced to exact
+  // sums and maxima — one candidate-major pass on the AVX2 tier — and the
+  // support), on Beijing at r = 1 km. Each call takes the
   // next of 64 cloak regions across the city, so consecutive calls query
   // different dummies.
   {

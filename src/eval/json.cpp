@@ -69,6 +69,11 @@ void JsonWriter::value(bool x) {
   out_ += x ? "true" : "false";
 }
 
+void JsonWriter::value(std::nullptr_t) {
+  comma();
+  out_ += "null";
+}
+
 void JsonWriter::value(const std::string& x) {
   comma();
   value_string(x);

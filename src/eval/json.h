@@ -14,8 +14,10 @@
 //
 // Numbers are emitted with enough digits to round-trip doubles; strings
 // are escaped per RFC 8259 (control characters, quote, backslash).
+// `json.field("latency_ms", nullptr)` writes null.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -38,6 +40,8 @@ class JsonWriter {
   void value(bool x);
   void value(const std::string& x);
   void value(const char* x) { value(std::string(x)); }
+  /// JSON null, for a field that was not measured.
+  void value(std::nullptr_t);
 
   /// key() + value() in one call.
   template <typename T>

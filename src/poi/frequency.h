@@ -142,8 +142,8 @@ inline void fold_counts(std::span<std::int32_t> row,
                         std::span<std::int32_t> total,
                         std::span<std::int32_t> peak) noexcept {
   assert(row.size() == total.size() && row.size() == peak.size());
-  detail::active_kernel_ops().fold_counts(row.data(), total.data(),
-                                          peak.data(), row.size());
+  detail::portable_fold_counts(row.data(), total.data(), peak.data(),
+                               row.size());
 }
 
 /// Type ids of the K largest entries (ties broken by smaller id), only

@@ -7,14 +7,45 @@
 // Semantics contract (enforced per tier by tests/kernel_property_test
 // against poi::scalar_ref): every implementation of a slot computes the
 // same bits as the scalar reference for every input, including n == 0,
-// odd tails, and saturating INT32_MAX counts.
+// odd tails, and saturating INT32_MAX counts. A slot may be null in the
+// tiers that have no version of it; its caller then runs the portable
+// path that the slot must reproduce.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 
+#include "spatial/grid_index.h"
+
 namespace poiprivacy::poi::detail {
+
+/// One grid row's contiguous run of index entries, [begin, end).
+struct EntrySpan {
+  const spatial::GridIndex::Entry* begin;
+  const spatial::GridIndex::Entry* end;
+};
+
+/// The operands of the candidate-major Phase D pass (disk_sum_max).
+struct DiskSumMaxArgs {
+  const EntrySpan* spans;  ///< the grid rows of the centres' union window
+  std::size_t num_spans;
+  /// Centre coordinates, `lanes` of each, 32-byte aligned; lanes past the
+  /// real centres hold quiet NaN, which fails every compare.
+  const double* cx;
+  const double* cy;
+  std::size_t lanes;  ///< a multiple of 8
+  double r_sq;        ///< radius * radius
+  std::size_t labels;  ///< every entry's label is < labels
+  /// [labels x lanes] hit counts, label-major; all zero on entry, and
+  /// left all zero again.
+  std::int32_t* hits;
+  /// One bit per label, (labels + 63) / 64 words; all zero on entry, and
+  /// left all zero again.
+  std::uint64_t* touched;
+  std::int32_t* sum;  ///< per-label totals, accumulated
+  std::int32_t* max;  ///< per-label maxima, accumulated
+};
 
 struct KernelOps {
   /// a_i >= b_i for all i.
@@ -43,15 +74,20 @@ struct KernelOps {
   /// b's presence bits are a subset of a's: (~a & b) == 0 word-wise.
   bool (*fingerprint_covers)(const std::uint64_t* a, const std::uint64_t* b,
                              std::size_t words) noexcept;
-  /// total_i += row_i, peak_i = max(peak_i, row_i), then row_i = 0. The
-  /// three rows must not overlap, and the caller keeps every
-  /// total_i + row_i within int32.
-  void (*fold_counts)(std::int32_t* row, std::int32_t* total,
-                      std::int32_t* peak, std::size_t n) noexcept;
+  /// Candidate-major Phase D over one union window (AVX2 tier only; null
+  /// in the others). For every entry e of the spans and every centre lane
+  /// j, adds `distance_sq(e.pos, c_j) <= r_sq` (the same IEEE operations,
+  /// no FMA) to hits[e.label * lanes + j] and marks e.label in touched;
+  /// then, for each touched label, adds the row's lane sum to sum[label],
+  /// raises max[label] to the row's lane maximum, and zeroes the row and
+  /// the bit. The caller keeps every sum within int32.
+  void (*disk_sum_max)(const DiskSumMaxArgs& args) noexcept;
 };
 
-/// The portable fold_counts loop: the scalar tier's slot, and the slot of
-/// any tier without a hand-written version.
+/// total_i += row_i, peak_i = max(peak_i, row_i), then row_i = 0: the
+/// per-centre fold of PoiDatabase::freq_sum_max on the tiers without
+/// disk_sum_max. The three rows must not overlap, and the caller keeps
+/// every total_i + row_i within int32.
 void portable_fold_counts(std::int32_t* row, std::int32_t* total,
                           std::int32_t* peak, std::size_t n) noexcept;
 

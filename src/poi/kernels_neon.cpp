@@ -4,7 +4,7 @@
 // binaries). The lane-free helpers (collect_positive, pack_fingerprint,
 // fingerprint_covers) keep the portable word loops: NEON has no cheap
 // movemask, and those paths are bit-scans over a handful of words.
-// fold_counts points at the portable loop of the scalar tier.
+// disk_sum_max is null, as in the scalar tier.
 // Bit-identical to the scalar tier; the per-tier oracle sweep in
 // tests/kernel_property_test is the gate.
 #include "poi/kernel_ops.h"
@@ -132,7 +132,7 @@ const KernelOps& neon_kernel_ops() noexcept {
   static constexpr KernelOps ops{
       dominates,        dominates_early_exit, l1_distance,
       diff_into,        total,                collect_positive,
-      pack_fingerprint, fingerprint_covers,   portable_fold_counts,
+      pack_fingerprint, fingerprint_covers,   nullptr,
   };
   return ops;
 }

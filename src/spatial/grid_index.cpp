@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace poiprivacy::spatial {
 
@@ -51,6 +52,21 @@ std::pair<int, int> GridIndex::cell_of(geo::Point p) const noexcept {
           clamp_cell((p.y - bounds_.min_y) / cell_km_, ny_)};
 }
 
+geo::BBox GridIndex::disk_window(geo::Point center, double radius) noexcept {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr geo::BBox kEmpty{kInf, kInf, -kInf, -kInf};
+  if (!(radius >= 0.0) || std::isnan(center.x) || std::isnan(center.y)) {
+    return kEmpty;
+  }
+  if (radius * radius == kInf) return {-kInf, -kInf, kInf, kInf};
+  if (!std::isfinite(center.x) || !std::isfinite(center.y)) return kEmpty;
+  const double reach =
+      radius + 0x1p-40 * (1.0 + std::fabs(center.x) + std::fabs(center.y) +
+                          radius);
+  return {center.x - reach, center.y - reach, center.x + reach,
+          center.y + reach};
+}
+
 std::vector<std::uint32_t> GridIndex::query_disk(geo::Point center,
                                                  double radius) const {
   std::vector<std::uint32_t> out;
@@ -72,12 +88,14 @@ void GridIndex::count_labels_in_disk(geo::Point center, double radius,
                                      std::span<std::int32_t> counts) const {
   const double r_sq = radius * radius;
   std::int32_t* const out = counts.data();
-  for_each_row_span(center, radius, [&](const Entry* it, const Entry* end) {
-    for (; it != end; ++it) {
-      assert(it->label < counts.size());
-      out[it->label] += geo::distance_sq(it->pos, center) <= r_sq;
-    }
-  });
+  for_each_row_span(disk_window(center, radius),
+                    [&](const Entry* it, const Entry* end) {
+                      for (; it != end; ++it) {
+                        assert(it->label < counts.size());
+                        out[it->label] +=
+                            geo::distance_sq(it->pos, center) <= r_sq;
+                      }
+                    });
 }
 
 }  // namespace poiprivacy::spatial

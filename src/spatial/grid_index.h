@@ -9,8 +9,13 @@
 // uint32 label. cell_start_ holds nx*ny+1 offsets, so the cells cx0..cx1
 // of grid row cy are the one contiguous entry range
 // [cell_start_[cy*nx+cx0], cell_start_[cy*nx+cx1+1]). A disk query is one
-// flat loop per grid row of the disk's bounding square, with no per-cell
-// setup.
+// flat loop per grid row of the disk's window (disk_window), with no
+// per-cell setup.
+//
+// Membership is decided by the predicate `distance_sq(p, center) <=
+// radius * radius` alone: the window never cuts off a point that passes
+// it, so every query equals a brute-force scan with that predicate. A
+// negative or NaN radius matches nothing.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +38,7 @@ class GridIndex {
 
   /// Ids (indices into the original vector) of all points within `radius`
   /// of `center` (inclusive boundary), in visiting order: grid rows of the
-  /// disk's bounding square bottom to top, cells left to right within a
+  /// disk's window bottom to top, cells left to right within a
   /// row, and ascending id within a cell. Callers that bucket the ids
   /// (attack/fine_grained.cpp groups them by type) rely on this order.
   std::vector<std::uint32_t> query_disk(geo::Point center,
@@ -44,11 +49,14 @@ class GridIndex {
   template <typename Fn>
   void for_each_in_disk(geo::Point center, double radius, Fn&& fn) const {
     const double r_sq = radius * radius;
-    for_each_row_span(center, radius, [&](const Entry* it, const Entry* end) {
-      for (; it != end; ++it) {
-        if (geo::distance_sq(it->pos, center) <= r_sq) fn(it->id, it->pos);
-      }
-    });
+    for_each_row_span(disk_window(center, radius),
+                      [&](const Entry* it, const Entry* end) {
+                        for (; it != end; ++it) {
+                          if (geo::distance_sq(it->pos, center) <= r_sq) {
+                            fn(it->id, it->pos);
+                          }
+                        }
+                      });
   }
 
   /// Number of points within the disk, without materializing ids.
@@ -66,21 +74,40 @@ class GridIndex {
   std::size_t size() const noexcept { return entries_.size(); }
   const geo::BBox& bounds() const noexcept { return bounds_; }
 
- private:
+  /// One indexed point, as the row spans hand it out (read-only).
   struct Entry {
     geo::Point pos;
     std::uint32_t id;
     std::uint32_t label;
   };
 
-  /// Calls `span(begin, end)` once per grid row of the bounding square of
-  /// the disk, bottom row first, with that row's contiguous entry range.
+  /// The box whose grid cells a disk query scans: the disk's bounding
+  /// square widened on every side by the slack
+  /// 2^-40 * (1 + |center.x| + |center.y| + radius). A point with
+  /// distance_sq(p, center) <= radius * radius < inf lies within
+  /// radius * (1 + 2^-51) of the centre on each axis (plus an underflow
+  /// term far below 2^-40), and the window's own rounding is below
+  /// 2^-52 * (|center| + radius); the slack dominates both, and cell
+  /// numbers are monotone in the coordinate, so the window never cuts off
+  /// a point the predicate accepts. The special cases follow the
+  /// predicate too: a negative or NaN radius, or a NaN centre, gives an
+  /// empty box (min > max); radius * radius == inf accepts every finite
+  /// distance, so the box is the whole plane; an infinite centre with a
+  /// finite radius * radius accepts nothing, so its box is empty.
+  static geo::BBox disk_window(geo::Point center, double radius) noexcept;
+
+  /// Calls `span(begin, end)` once per grid row of the cells that
+  /// `window` overlaps, bottom row first, with that row's contiguous
+  /// entry range (cells left to right, ascending id within a cell). A
+  /// window with min > max or a NaN bound visits nothing; infinite bounds
+  /// clamp to the grid's edge cells.
   template <typename SpanFn>
-  void for_each_row_span(geo::Point center, double radius,
-                         SpanFn&& span) const {
-    const auto [cx0, cy0] = cell_of({center.x - radius, center.y - radius});
-    const auto [cx1, cy1] = cell_of({center.x + radius, center.y + radius});
-    if (cx0 > cx1) return;  // negative radius: an inverted square is empty
+  void for_each_row_span(const geo::BBox& window, SpanFn&& span) const {
+    if (!(window.min_x <= window.max_x && window.min_y <= window.max_y)) {
+      return;
+    }
+    const auto [cx0, cy0] = cell_of({window.min_x, window.min_y});
+    const auto [cx1, cy1] = cell_of({window.max_x, window.max_y});
     const Entry* const base = entries_.data();
     for (int cy = cy0; cy <= cy1; ++cy) {
       const std::size_t row = static_cast<std::size_t>(cy) *
@@ -90,6 +117,7 @@ class GridIndex {
     }
   }
 
+ private:
   std::pair<int, int> cell_of(geo::Point p) const noexcept;
 
   geo::BBox bounds_;

@@ -114,5 +114,19 @@ TEST(JsonWriter, BoolValues) {
   EXPECT_EQ(json.str(), "[true,false]");
 }
 
+TEST(JsonWriter, NullValuesAndFields) {
+  eval::JsonWriter json;
+  json.begin_object();
+  json.field("latency_ms", nullptr);
+  json.key("list");
+  json.begin_array();
+  json.value(nullptr);
+  json.value(1.5);
+  json.end_array();
+  json.field("after", true);
+  json.end_object();
+  EXPECT_EQ(json.str(), R"({"latency_ms":null,"list":[null,1.5],"after":true})");
+}
+
 }  // namespace
 }  // namespace poiprivacy

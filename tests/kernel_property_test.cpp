@@ -5,6 +5,12 @@
 //     its scalar reference oracle on seeded random inputs, including the
 //     edge shapes the kernels special-case: empty vectors, length 1, odd
 //     lengths, all-zero rows, and saturating INT32_MAX counts;
+//   * PoiDatabase::freq_sum_max (Phase D; candidate-major on the AVX2
+//     tier) against the centre-by-centre scan on every tier: k from 0 to
+//     100 with duplicate, far-off, cell-corner, NaN and infinite centres,
+//     radii from 0 to 1e200 (whose square is inf), NaN and negative radii,
+//     the Beijing, NYC and a one-type city, POIs one ulp outside the
+//     plain bounding square, and the k * |POIs| > INT32_MAX throw;
 //   * the dispatch-tier differential harness: the same oracle sweep
 //     repeated under every kernel tier the host can execute (scalar /
 //     AVX2 / NEON), plus a cross-tier bit-identity check — and the whole
@@ -19,9 +25,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -265,15 +273,202 @@ TEST(KernelOracle, FoldCountsHandComputed) {
   EXPECT_TRUE(no_total.empty());
 }
 
-// The fold kernel's per-tier sweep, in-process across every tier the
-// host can execute (the per-tier ctest entries repeat it end to end).
-TEST(KernelTierSweep, FoldCountsMatchesScalarOracleOnEveryTier) {
+// fold_counts runs the portable loop on every tier (the AVX2 tier's
+// candidate-major Phase D does not fold rows), so one sweep covers it.
+TEST(KernelOracle, FoldCountsMatchesScalarOracle) { run_fold_sweep(); }
+
+/// Today's centre-by-centre Phase D, the oracle of freq_sum_max: one
+/// freq_into scan per centre (the grid's row-major label count), folded by
+/// scalar_ref::fold_counts.
+void per_centre_sum_max(const poi::PoiDatabase& db,
+                        const std::vector<geo::Point>& centers, double r,
+                        FrequencyVector& sum, FrequencyVector& max) {
+  sum.assign(db.num_types(), 0);
+  max.assign(db.num_types(), 0);
+  FrequencyVector row;
+  for (const geo::Point& c : centers) {
+    db.freq_into(c, r, row);
+    poi::scalar_ref::fold_counts(row, sum, max);
+  }
+}
+
+/// A city whose POIs sit one ulp below a grid-cell boundary B (cells are
+/// 0.5 km) at exactly distance r of a centre at B + r on either axis:
+/// distance_sq rounds to r * r, so the predicate accepts them, yet
+/// B + r - r == B puts the plain bounding square's low edge in the next
+/// cell. Only a slack-widened window reaches them.
+struct EdgeCity {
+  poi::PoiDatabase db;
+  std::vector<geo::Point> centers;
+  double r;
+};
+
+EdgeCity edge_city(double r, std::size_t num_types) {
+  std::vector<poi::Poi> pois;
+  std::vector<geo::Point> centers;
+  std::vector<std::string> names;
+  for (std::size_t t = 0; t < num_types; ++t) {
+    names.push_back("t" + std::to_string(t));
+  }
+  for (int i = 1; i <= 12; ++i) {
+    const double b = 0.5 * i;           // a cell boundary
+    const double lane = 0.25 + 0.5 * i;  // mid-cell on the other axis
+    const double below = std::nextafter(b, 0.0);
+    for (const bool along_x : {true, false}) {
+      const geo::Point poi = along_x ? geo::Point{below, lane}
+                                     : geo::Point{lane, below};
+      const geo::Point c = along_x ? geo::Point{b + r, lane}
+                                   : geo::Point{lane, b + r};
+      pois.push_back({static_cast<poi::PoiId>(pois.size()),
+                      static_cast<poi::TypeId>(pois.size() % num_types), poi});
+      centers.push_back(c);
+    }
+  }
+  return {poi::PoiDatabase("edgeville", std::move(pois),
+                           poi::PoiTypeRegistry(std::move(names)),
+                           {0.0, 0.0, 16.0, 16.0}),
+          std::move(centers), r};
+}
+
+/// k centres of one kind. Kind 0: a cloak-like cluster (uniform in a
+/// 0.5-3 km box), a third of them exact duplicates; kind 1: the same with
+/// every other centre 50 km outside the bounds; kind 2: centres on grid
+/// cell corners (0.5 km cells) inside and around the bounds; kind 3: the
+/// cluster salted with NaN and +-inf coordinates.
+std::vector<geo::Point> freq_sum_max_centres(common::Rng& rng,
+                                             const geo::BBox& b,
+                                             std::size_t k, int kind) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double side = rng.uniform(0.5, 3.0);
+  const double x0 = rng.uniform(b.min_x, b.max_x - side);
+  const double y0 = rng.uniform(b.min_y, b.max_y - side);
+  std::vector<geo::Point> out;
+  for (std::size_t j = 0; j < k; ++j) {
+    geo::Point c{rng.uniform(x0, x0 + side), rng.uniform(y0, y0 + side)};
+    if (!out.empty() && rng.bernoulli(0.3)) {
+      c = out[static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(out.size()) - 1))];
+    }
+    if (kind == 1 && j % 2 == 1) {
+      c = rng.bernoulli(0.5) ? geo::Point{b.max_x + 50.0, c.y}
+                             : geo::Point{c.x, b.min_y - 50.0};
+    } else if (kind == 2) {
+      c = {b.min_x + 0.5 * static_cast<double>(rng.uniform_int(-2, 20)),
+           b.min_y + 0.5 * static_cast<double>(rng.uniform_int(-2, 20))};
+    } else if (kind == 3 && rng.bernoulli(0.3)) {
+      const double odd[] = {kNan, kInf, -kInf};
+      const double v = odd[rng.uniform_int(0, 2)];
+      c = rng.bernoulli(0.5) ? geo::Point{v, c.y} : geo::Point{c.x, v};
+    }
+    out.push_back(c);
+  }
+  return out;
+}
+
+/// freq_sum_max on the active tier against per_centre_sum_max, exact.
+void run_freq_sum_max_sweep() {
+  constexpr std::size_t kKs[] = {0, 1, 7, 8, 9, 16, 17, 31, 32, 33, 64, 100};
+  constexpr double kRadii[] = {0.0, 1e-9, 0.5, 1.0, 2.0, 7.5, 1e6, 1e200};
+  std::vector<poi::City> cities;
+  cities.push_back(poi::generate_city(poi::beijing_preset(), 3));
+  cities.push_back(poi::generate_city(poi::nyc_preset(), 4));
+  common::Rng rng(20261018);
+  FrequencyVector sum, max, want_sum, want_max;
+  const auto check = [&](const poi::PoiDatabase& db,
+                         const std::vector<geo::Point>& centers, double r,
+                         const std::string& what) {
+    per_centre_sum_max(db, centers, r, want_sum, want_max);
+    db.freq_sum_max(centers, r, sum, max);
+    ASSERT_EQ(sum, want_sum) << what;
+    ASSERT_EQ(max, want_max) << what;
+  };
+  for (const poi::City& city : cities) {
+    const poi::PoiDatabase& db = city.db;
+    for (std::size_t ki = 0; ki < std::size(kKs); ++ki) {
+      for (std::size_t ri = 0; ri < std::size(kRadii); ++ri) {
+        // Every (k, r) pair meets each centre kind across the two cities;
+        // the huge radii scan the whole city per centre, so they run at
+        // the kinds that keep the oracle cheap enough.
+        const int kind = static_cast<int>((ki + ri + db.num_types()) % 4);
+        const auto centers =
+            freq_sum_max_centres(rng, db.bounds(), kKs[ki], kind);
+        check(db, centers, kRadii[ri],
+              db.city_name() + " k=" + std::to_string(kKs[ki]) +
+                  " r=" + std::to_string(kRadii[ri]) +
+                  " kind=" + std::to_string(kind));
+      }
+    }
+    // A NaN or negative radius matches nothing, on either path.
+    const auto centers = freq_sum_max_centres(rng, db.bounds(), 17, 0);
+    for (const double r : {std::numeric_limits<double>::quiet_NaN(), -0.01,
+                           -1.0, -1e200}) {
+      check(db, centers, r, db.city_name() + " r=" + std::to_string(r));
+      EXPECT_EQ(sum, FrequencyVector(db.num_types(), 0));
+    }
+  }
+  // A one-type city: every row is a single label.
+  poi::CityPreset one = poi::test_preset();
+  one.num_types = 1;
+  one.target_rare_types = 0;
+  const poi::City single = poi::generate_city(one, 5);
+  ASSERT_EQ(single.db.num_types(), 1u);
+  for (const std::size_t k : {1, 9, 33}) {
+    for (const double r : {0.5, 2.0, 1e200}) {
+      check(single.db, freq_sum_max_centres(rng, single.db.bounds(), k, 0), r,
+            "one-type k=" + std::to_string(k) + " r=" + std::to_string(r));
+    }
+  }
+  // POIs the predicate accepts just outside the plain bounding square:
+  // each centre alone (where only its own window can reach its POI), then
+  // all of them at once.
+  for (const double r : {4.0, 8.0}) {
+    const EdgeCity edge = edge_city(r, 5);
+    for (std::size_t i = 0; i < edge.centers.size(); ++i) {
+      check(edge.db, {edge.centers[i]}, edge.r,
+            "edge r=" + std::to_string(r) + " centre " + std::to_string(i));
+    }
+    check(edge.db, edge.centers, edge.r, "edge r=" + std::to_string(r));
+    std::int64_t brute = 0;
+    for (const geo::Point& c : edge.centers) {
+      for (const poi::Poi& p : edge.db.pois()) {
+        brute += geo::distance_sq(p.pos, c) <= edge.r * edge.r;
+      }
+    }
+    ASSERT_EQ(poi::total(sum), brute) << "edge r=" << r;
+  }
+}
+
+// freq_sum_max per tier: the AVX2 tier runs the candidate-major kernel,
+// the others the centre-by-centre scan; both must equal the oracle.
+TEST(KernelTierSweep, FreqSumMaxMatchesPerCentreScanOnEveryTier) {
   TierGuard guard;
   for (const poi::KernelTier tier : poi::available_kernel_tiers()) {
     ASSERT_TRUE(poi::set_kernel_tier(tier));
     SCOPED_TRACE(std::string("tier ") +
                  std::string(poi::kernel_tier_name(tier)));
-    run_fold_sweep();
+    run_freq_sum_max_sweep();
+  }
+}
+
+// The int32 bound: k * |POIs| > INT32_MAX throws on every tier, and the
+// largest accepted k does not.
+TEST(KernelTierSweep, FreqSumMaxRejectsInt32OverflowOnEveryTier) {
+  TierGuard guard;
+  const poi::City city = poi::generate_city(poi::test_preset(), 6);
+  const std::size_t limit = city.db.max_fold_centers();
+  ASSERT_EQ(limit, static_cast<std::size_t>(kSat) / city.db.pois().size());
+  const std::vector<geo::Point> too_many(limit + 1, city.db.poi(0).pos);
+  const std::vector<geo::Point> at_limit(limit, city.db.poi(0).pos);
+  for (const poi::KernelTier tier : poi::available_kernel_tiers()) {
+    ASSERT_TRUE(poi::set_kernel_tier(tier));
+    FrequencyVector sum, max;
+    EXPECT_THROW(city.db.freq_sum_max(too_many, 0.5, sum, max),
+                 std::invalid_argument);
+    city.db.freq_sum_max(at_limit, 0.0, sum, max);
+    EXPECT_EQ(poi::total(sum),
+              static_cast<std::int64_t>(limit) *
+                  poi::total(city.db.freq(city.db.poi(0).pos, 0.0)));
   }
 }
 

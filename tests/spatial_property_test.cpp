@@ -4,12 +4,16 @@
 // grazing queries), seeded via Rng::substream so case i is reproducible
 // in isolation. The grid index is also pinned to a frozen copy of its
 // earlier vector-of-vectors layout, id order included, and the database's
-// Freq entry points to a per-POI scan.
+// Freq entry points to a per-POI scan. Its disk queries must match the
+// predicate alone: points nudged a few ulps around the disk's edge, and
+// negative or NaN radii (which match nothing).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -333,6 +337,132 @@ TEST(SpatialProperty, DatabaseFreqMatchesPerPoiScan) {
                                expected.end()))
             << preset.name << " r=" << radius << " centre " << i;
       }
+    }
+  }
+}
+
+/// All four disk queries of `index` against the predicate over every
+/// point: query_disk (as a set), for_each_in_disk (ids in query_disk's
+/// order), count_in_disk and count_labels_in_disk.
+void expect_disk_queries_match_predicate(
+    const spatial::GridIndex& index, const std::vector<geo::Point>& points,
+    const std::vector<std::uint32_t>& labels, std::size_t num_labels,
+    geo::Point center, double radius, const std::string& what) {
+  std::vector<std::uint32_t> expected;
+  if (radius >= 0.0) expected = brute_disk(points, center, radius);
+  const auto ids = index.query_disk(center, radius);
+  EXPECT_EQ(sorted(ids), expected) << what;
+  std::vector<std::uint32_t> visited;
+  index.for_each_in_disk(center, radius, [&](std::uint32_t id, geo::Point p) {
+    EXPECT_EQ(p, points[id]) << what;
+    visited.push_back(id);
+  });
+  EXPECT_EQ(visited, ids) << what;
+  EXPECT_EQ(index.count_in_disk(center, radius), expected.size()) << what;
+  std::vector<std::int32_t> counts(num_labels, 0);
+  index.count_labels_in_disk(center, radius, counts);
+  std::vector<std::int32_t> want(num_labels, 0);
+  for (const std::uint32_t id : expected) ++want[labels[id]];
+  EXPECT_EQ(counts, want) << what;
+}
+
+// A negative or NaN radius matches nothing on any query, even when
+// radius * radius would accept a point (an inverted bounding square that
+// falls inside one cell used to scan it).
+TEST(SpatialProperty, GridIndexNegativeRadiusIsEmpty) {
+  const std::vector<geo::Point> two = {{1.25, 1.25}, {1.255, 1.25}};
+  const std::vector<std::uint32_t> two_labels = {0, 1};
+  const spatial::GridIndex pair(two, kBounds, 0.5, two_labels);
+  EXPECT_EQ(pair.count_in_disk({1.25, 1.25}, -0.01), 0u);
+  EXPECT_EQ(pair.count_in_disk({1.25, 1.25}, -1.0), 0u);
+  EXPECT_EQ(pair.count_in_disk({1.25, 1.25}, 0.01), 2u);
+  const common::Rng base(0x57A71A88u);
+  for (std::size_t c = 0; c < kCases; ++c) {
+    common::Rng rng = base.substream(c);
+    const auto points =
+        random_points(rng, static_cast<std::size_t>(rng.uniform_int(1, 60)));
+    std::vector<std::uint32_t> labels(points.size());
+    for (std::uint32_t& l : labels) {
+      l = static_cast<std::uint32_t>(rng.uniform_int(0, 3));
+    }
+    const spatial::GridIndex index(points, kBounds, rng.uniform(0.2, 1.5),
+                                   labels);
+    // Centres on a point, so the square of the radius would accept it.
+    const geo::Point on_point = points[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(points.size()) - 1))];
+    for (const double radius :
+         {-1e-12, -rng.uniform(0.0, 0.1), -rng.uniform(0.0, 5.0), -1e200,
+          -std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN()}) {
+      for (const geo::Point center : {on_point, random_center(rng)}) {
+        expect_disk_queries_match_predicate(
+            index, points, labels, 4, center, radius,
+            "case " + std::to_string(c) + " r=" + std::to_string(radius));
+        EXPECT_TRUE(index.query_disk(center, radius).empty());
+      }
+    }
+  }
+}
+
+// Points a few ulps either side of the disk's edge, on cell sizes of 0.5,
+// 0.37 and 1/3 km: every query equals the predicate over all points. Half
+// the cases put the centre at B + r for a cell boundary B, with a point
+// one ulp below B on the centre's axis: distance_sq rounds to r * r there,
+// while B + r - r == B puts the plain bounding square's edge in the next
+// cell, so only the window's slack reaches the point.
+TEST(SpatialProperty, GridIndexEdgeNudgedPointsMatchPredicate) {
+  const common::Rng base(0x57A71A99u);
+  const double cells[] = {0.5, 0.37, 1.0 / 3.0};
+  for (std::size_t c = 0; c < kCases; ++c) {
+    common::Rng rng = base.substream(c);
+    const double cell_km = cells[c % 3];
+    geo::Point center;
+    double radius;
+    std::vector<geo::Point> points;
+    if (c % 2 == 0) {
+      radius = static_cast<double>(rng.uniform_int(1, 4));
+      const double b =
+          cell_km * static_cast<double>(rng.uniform_int(1, 5));
+      const double lane = rng.uniform(0.0, 8.0);
+      const bool along_x = rng.bernoulli(0.5);
+      center = along_x ? geo::Point{b + radius, lane}
+                       : geo::Point{lane, b + radius};
+      const double below = std::nextafter(b, 0.0);
+      points.push_back(along_x ? geo::Point{below, lane}
+                               : geo::Point{lane, below});
+    } else {
+      center = {rng.uniform(-1.0, 11.0), rng.uniform(-1.0, 9.0)};
+      radius = rng.uniform(0.05, 4.0);
+    }
+    // Points on the circle, each coordinate nudged by up to 3 ulps.
+    const auto nudge = [&rng](double v) {
+      const auto steps = rng.uniform_int(-3, 3);
+      for (std::int64_t s = 0; s < (steps < 0 ? -steps : steps); ++s) {
+        v = std::nextafter(v, steps < 0 ? -1e300 : 1e300);
+      }
+      return v;
+    };
+    for (int i = 0; i < 40; ++i) {
+      const double theta = rng.uniform(0.0, 6.283185307179586);
+      points.push_back({nudge(center.x + radius * std::cos(theta)),
+                        nudge(center.y + radius * std::sin(theta))});
+    }
+    for (const geo::Point off : {geo::Point{radius, 0.0},
+                                 geo::Point{-radius, 0.0},
+                                 geo::Point{0.0, radius},
+                                 geo::Point{0.0, -radius}}) {
+      points.push_back({nudge(center.x + off.x), nudge(center.y + off.y)});
+    }
+    std::vector<std::uint32_t> labels(points.size());
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      labels[i] = static_cast<std::uint32_t>(i % 3);
+    }
+    const spatial::GridIndex index(points, kBounds, cell_km, labels);
+    for (const double r : {radius, std::nextafter(radius, 0.0),
+                           std::nextafter(radius, 1e300)}) {
+      expect_disk_queries_match_predicate(
+          index, points, labels, 3, center, r,
+          "case " + std::to_string(c) + " cell " + std::to_string(cell_km));
     }
   }
 }
