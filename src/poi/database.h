@@ -73,9 +73,11 @@ class PoiDatabase {
 
   /// The per-type sum and max of Freq(c, radius) over `centers`, as exact
   /// int32 counts: `sum` and `max` are resized/zeroed and filled in place.
-  /// Each center's scan lands in one per-thread count row that
-  /// poi::fold_counts folds into both outputs and zeroes again, so no row
-  /// matrix is kept and steady-state calls allocate nothing. A sum never
+  /// On the AVX2 kernel tier one pass over the centers' union window tests
+  /// every POI against all centers (detail::KernelOps::disk_sum_max);
+  /// elsewhere each center's scan lands in one per-thread count row that
+  /// poi::fold_counts folds into both outputs and zeroes again. Both give
+  /// the same bits, and steady-state calls allocate nothing. A sum never
   /// exceeds centers.size() x |POIs|; throws std::invalid_argument when
   /// centers.size() > max_fold_centers(), where it could leave int32.
   void freq_sum_max(std::span<const geo::Point> centers, double radius,
