@@ -294,6 +294,27 @@ int run_micro_core_json(const std::string& path, bool smoke) {
     const poi::FrequencyVector f = db.freq(location_for(++loc), r);
     keep(reid.infer(f, r));
   });
+  // The same attack on 64 fixed releases at r = 1 km, timed after one
+  // untimed pass over all of them: the warm steady state the streaming
+  // tracker runs in, where region_reid_infer_r2's fresh locations mostly
+  // time cold cache fills.
+  {
+    const double warm_r = 1.0;
+    std::vector<poi::FrequencyVector> releases;
+    for (std::int64_t j = 0; j < 64; ++j) {
+      releases.push_back(db.freq(location_for(1000 + j), warm_r));
+    }
+    attack::ReidScratch scratch;
+    attack::ReidResult result;
+    for (const poi::FrequencyVector& f : releases) {
+      reid.infer_into(f, warm_r, scratch, result);
+    }
+    std::size_t next = 0;
+    emit_bench(json, "region_reid_warm_r1", reid_reps, reid_iters * 16, [&] {
+      reid.infer_into(releases[next++ & 63], warm_r, scratch, result);
+      keep(result.candidates.data());
+    });
+  }
 
   // Serving Phase F: defense::noised_release (Eq. 8 noise + Eq. 9
   // post-processing over the support) on the aggregate a ReleaseService

@@ -85,56 +85,4 @@ std::vector<poi::TypeId> AttackContext::rare_present_types(
   return present;
 }
 
-AttackContext::BatchedEnvelope::BatchedEnvelope(
-    const AttackContext& ctx, double radius,
-    std::span<const std::int32_t> released, std::span<const poi::TypeId> rare)
-    : ctx_(&ctx),
-      tiles_(&ctx.tiles()),
-      radius_(radius),
-      released_(released),
-      rare_(rare),
-      tile_verdict_(&owned_verdict_) {
-  tile_verdict_->assign(static_cast<std::size_t>(tiles_->nx()) * tiles_->ny(),
-                        kUnknown);
-}
-
-AttackContext::BatchedEnvelope::BatchedEnvelope(
-    const AttackContext& ctx, double radius,
-    std::span<const std::int32_t> released, std::span<const poi::TypeId> rare,
-    std::vector<std::int8_t>& scratch)
-    : ctx_(&ctx),
-      tiles_(&ctx.tiles()),
-      radius_(radius),
-      released_(released),
-      rare_(rare),
-      tile_verdict_(&scratch) {
-  tile_verdict_->assign(static_cast<std::size_t>(tiles_->nx()) * tiles_->ny(),
-                        kUnknown);
-}
-
-bool AttackContext::BatchedEnvelope::pruned(geo::Point pos) {
-  const poi::TileAggregates::Tile tile = tiles_->tile_of(pos);
-  std::int8_t& verdict =
-      (*tile_verdict_)[static_cast<std::size_t>(tile.iy) * tiles_->nx() +
-                       tile.ix];
-  if (verdict == kUnknown) {
-    verdict = exact_prune(tiles_->tile_window(tile.ix, tile.iy, radius_),
-                          released_, rare_)
-                  ? kPruned
-                  : kPass;
-  }
-  // Coarse shortfall implies every member candidate's own shortfall, so
-  // returning true here matches what the per-candidate probe would say.
-  if (verdict == kPruned) return true;
-  return exact_prune(ctx_->window(pos, radius_), released_, rare_);
-}
-
-void AttackContext::BatchedEnvelope::prune_batch(
-    std::span<const poi::PoiId> candidates,
-    std::vector<poi::PoiId>& survivors) {
-  for (const poi::PoiId id : candidates) {
-    if (!pruned(ctx_->db().poi(id).pos)) survivors.push_back(id);
-  }
-}
-
 }  // namespace poiprivacy::attack

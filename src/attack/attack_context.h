@@ -3,9 +3,8 @@
 // The four attack families of the paper (baseline region re-id §II-D,
 // fine-grained Alg. 1, trajectory §V) and our robust/chain extensions all
 // reduce to the same adversary loop: pick the rarest released types, walk
-// the candidate POIs of the pivot type, reject candidates cheaply with a
-// tile-envelope bound, and only then pay for the exact F(p, 2r) dominance
-// test through the anchor cache. This object owns those primitives once:
+// the candidate POIs of the pivot type, and keep those whose F(p, 2r)
+// dominates the release. This object owns the shared primitives once:
 //
 //   * per-thread FreqArena scratch (poi::scratch_arena) for allocation-
 //     free aggregate queries,
@@ -13,8 +12,14 @@
 //     construction,
 //   * anchor-vector cache access and per-type candidate enumeration,
 //   * the fused pivot/rarest-present scan,
-//   * the exact tile-envelope prune (with its adaptive gate) and the
-//     tolerant violation/deficit prune.
+//   * the exact tile-envelope prune and the tolerant violation/deficit
+//     prune, which the fine-grained and robust attacks run per candidate
+//     before the cached dominance test.
+//
+// Region re-id (and the trajectory and linkage attacks built on it) needs
+// only the pivot scan: it tests dominance against the database's cached
+// type-major poi::TypeBlock, every pivot-type candidate at once, where a
+// per-candidate envelope would save nothing.
 //
 // The concrete attacks (RegionReidentifier, RobustReidentifier,
 // FineGrainedAttack, TrajectoryAttack, ChainAttack) are thin strategy
@@ -185,93 +190,6 @@ class AttackContext {
     if (violations > max_violations || deficit > max_deficit) return true;
     return win.total_bound() + max_deficit < released_total;
   }
-
-  /// The adaptive gate in front of exact_prune: at small r nearly every
-  /// candidate dominates the near-empty release, so probing is pure
-  /// overhead. The first kProbe candidates measure the reject rate; below
-  /// kMinRejects the remaining candidates go straight to the cached
-  /// dominance scan. The gate is a deterministic function of the candidate
-  /// sequence, and pruning only ever skips candidates the full test would
-  /// reject, so results are bit-identical with the prune on, off, or
-  /// mixed.
-  class AdaptiveGate {
-   public:
-    explicit AdaptiveGate(bool enabled) noexcept : enabled_(enabled) {}
-
-    /// Probe the tile envelope for the next candidate?
-    bool enabled() const noexcept { return enabled_; }
-
-    /// Records one probe's outcome; may permanently disable the gate.
-    void record(bool fired) noexcept {
-      ++probed_;
-      rejected_ += fired;
-      if (probed_ == kProbe && rejected_ < kMinRejects) enabled_ = false;
-    }
-
-   private:
-    static constexpr int kProbe = 32;
-    static constexpr int kMinRejects = 8;
-    bool enabled_;
-    int probed_ = 0;
-    int rejected_ = 0;
-  };
-
-  /// BatchedEnvelope — one coarse tile verdict shared by every candidate
-  /// that bins into the same tile.
-  ///
-  /// Candidate loops probe the same rare-type bounds for thousands of
-  /// candidates, and candidates cluster spatially, so most probes hit a
-  /// tile that has already been judged. The envelope memoizes one coarse
-  /// verdict per tile using tile_window(), whose bounds dominate every
-  /// member candidate's own window bounds:
-  ///
-  ///   * coarse PRUNED -> every member's own exact_prune would fire too
-  ///     (a coarse shortfall implies a per-candidate shortfall), so the
-  ///     whole tile is rejected by one probe set;
-  ///   * coarse PASS   -> fall back to the member's own per-candidate
-  ///     window, so survivor sets — and the AdaptiveGate::record
-  ///     sequence observed by callers — stay bit-identical to the
-  ///     unbatched loop.
-  ///
-  /// Holds views of `released` and `rare`; the caller keeps them alive
-  /// for the envelope's lifetime.
-  class BatchedEnvelope {
-   public:
-    BatchedEnvelope(const AttackContext& ctx, double radius,
-                    std::span<const std::int32_t> released,
-                    std::span<const poi::TypeId> rare);
-
-    /// Same envelope, but the per-tile verdict table lives in
-    /// caller-owned storage: a loop that builds one envelope per release
-    /// (the streaming linkage tracker) reuses the buffer's capacity
-    /// instead of allocating nx*ny verdict bytes per step. `scratch`
-    /// must outlive the envelope.
-    BatchedEnvelope(const AttackContext& ctx, double radius,
-                    std::span<const std::int32_t> released,
-                    std::span<const poi::TypeId> rare,
-                    std::vector<std::int8_t>& scratch);
-
-    /// exact_prune() verdict for a candidate at `pos`; bit-identical to
-    /// exact_prune(ctx.window(pos, radius), released, rare).
-    bool pruned(geo::Point pos);
-
-    /// Appends the ids in `candidates` whose envelope passes to
-    /// `survivors`, preserving order — the same set a per-candidate
-    /// exact_prune loop keeps (pinned by
-    /// tests/tile_window_property_test.cpp).
-    void prune_batch(std::span<const poi::PoiId> candidates,
-                     std::vector<poi::PoiId>& survivors);
-
-   private:
-    enum : std::int8_t { kUnknown = -1, kPass = 0, kPruned = 1 };
-    const AttackContext* ctx_;
-    const poi::TileAggregates* tiles_;
-    double radius_;
-    std::span<const std::int32_t> released_;
-    std::span<const poi::TypeId> rare_;
-    std::vector<std::int8_t> owned_verdict_;   ///< backs tile_verdict_ by default
-    std::vector<std::int8_t>* tile_verdict_;   ///< one verdict per tile
-  };
 
  private:
   const poi::PoiDatabase* db_;

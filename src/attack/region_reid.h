@@ -11,10 +11,15 @@
 //   4. declares success iff exactly one candidate survives; the user then
 //      lies somewhere in disk(p*, r), an area of pi r^2.
 //
-// The enumeration/pruning machinery (pivot scan, tile-envelope prune,
-// adaptive gate, anchor cache) lives in attack::AttackContext; this class
-// is the strategy layer that wires those primitives into the baseline
-// candidate loop.
+// Step 3 runs in type-major columns: the database caches, per (pivot
+// type, 2r), one poi::TypeBlock whose row t holds F(p, 2r)[t] for every
+// pivot-type POI p. A per-candidate lane mask starts all alive, and each
+// type t with released[t] > 0 clears, in one pass over row t, the
+// candidates whose count falls short; the loop ends as soon as no lane is
+// alive. Each (candidate, type) pair is the integer comparison dominates()
+// makes, and a type with released[t] <= 0 cannot violate dominance
+// (counts are >= 0), so the survivors are exactly the candidates whose
+// F(p, 2r) dominates the release, in pois_of_type order.
 #pragma once
 
 #include <optional>
@@ -33,13 +38,14 @@ struct ReidResult {
   bool unique() const noexcept { return candidates.size() == 1; }
 };
 
-/// Reusable buffers for infer_into: the released fingerprint words and
-/// the batched envelope's per-tile verdict table. A caller that runs one
-/// inference per release (the streaming linkage tracker) keeps one of
-/// these and pays zero allocations per call in steady state.
+/// Reusable buffers for infer_into: the release's packed presence bits
+/// and the per-candidate lane mask (-1 alive, 0 dead; one lane per
+/// TypeBlock column). A caller that runs one inference per release (the
+/// streaming linkage tracker) keeps one of these and pays zero
+/// allocations per call in steady state.
 struct ReidScratch {
   std::vector<poi::FingerprintWord> released_fp;
-  std::vector<std::int8_t> tile_verdict;
+  std::vector<std::int32_t> alive;
 };
 
 class RegionReidentifier {
@@ -47,12 +53,14 @@ class RegionReidentifier {
   explicit RegionReidentifier(const poi::PoiDatabase& db) : ctx_(db) {}
 
   /// Runs the attack on a released vector for query radius `r` km.
+  /// Throws std::invalid_argument unless released.size() == num_types().
   ReidResult infer(const poi::FrequencyVector& released, double r) const;
 
   /// infer() into caller-owned result/scratch storage: `out` is cleared
-  /// and refilled with the identical candidate set (bit-for-bit the same
-  /// enumeration, envelope and dominance path), reusing the capacity of
-  /// all four buffers across calls.
+  /// and refilled with the identical candidate set, reusing the capacity
+  /// of its buffers and of the scratch across calls. Throws
+  /// std::invalid_argument, leaving `out` untouched, unless
+  /// released.size() == db().num_types() — in every build type.
   void infer_into(std::span<const std::int32_t> released, double r,
                   ReidScratch& scratch, ReidResult& out) const;
 

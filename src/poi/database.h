@@ -21,8 +21,11 @@
 
 namespace poiprivacy::poi {
 
-/// Counters of the anchor-vector cache (monotone over the database's
-/// lifetime; hits + misses == total anchor_freq lookups).
+/// Counters of the anchor cache (monotone over the database's lifetime).
+/// Every anchor_aggregate and every type_block lookup counts once: a hit
+/// when its entry is already published, a miss only for the call whose
+/// CAS publishes it. So hits + misses == lookups, and misses == the
+/// distinct (POI, radius) plus (type, radius) keys, for any thread count.
 struct AnchorCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -40,6 +43,23 @@ struct AnchorCacheStats {
 struct AnchorAggregate {
   FrequencyVector freq;
   std::vector<FingerprintWord> fp;
+};
+
+/// A type-major block of anchor counts: every POI of one type at one
+/// radius. Row t holds F(p, radius)[t] for each POI p of the type, in
+/// pois_of_type order, and is `stride` int32s long: the POI count rounded
+/// up to 8, with the pad columns 0. Region re-id tests dominance one row
+/// at a time against all of the type's candidates at once.
+struct TypeBlock {
+  std::size_t count = 0;   ///< POIs of the type: the live columns
+  std::size_t stride = 0;  ///< count rounded up to 8
+  /// num_types rows x stride, row-major.
+  std::vector<std::int32_t, AlignedAllocator<std::int32_t, kFrequencyAlignment>>
+      counts;
+
+  const std::int32_t* row(TypeId type) const noexcept {
+    return counts.data() + type * stride;
+  }
 };
 
 class PoiDatabase {
@@ -103,6 +123,15 @@ class PoiDatabase {
   /// the entry, so misses == distinct (id, radius) keys regardless of
   /// thread count. Throws std::out_of_range for an id >= pois().size().
   const AnchorAggregate& anchor_aggregate(PoiId id, double radius) const;
+
+  /// The TypeBlock of every POI of `type` at `radius`, through the same
+  /// per-radius tables as anchor_aggregate: one more slot per type beside
+  /// the per-POI slots, built outside any lock from one freq_into row per
+  /// POI and published with the same CAS (a losing thread frees its copy
+  /// and counts a hit). Never evicted; at most |types| x |POIs| x 4 bytes
+  /// per radius. A type with no POIs gets an empty block. Throws
+  /// std::out_of_range for a type >= num_types().
+  const TypeBlock& type_block(TypeId type, double radius) const;
 
   /// The frequency vector alone (anchor_aggregate's freq member).
   const FrequencyVector& anchor_freq(PoiId id, double radius) const {

@@ -105,34 +105,6 @@ TileAggregates::Tile TileAggregates::tile_of(geo::Point p) const noexcept {
           clamp_tile((p.y - bounds_.min_y) * inv_tile_km_, ny_)};
 }
 
-TileAggregates::Window TileAggregates::tile_window(int ix, int iy,
-                                                   double radius)
-    const noexcept {
-  // Any unclamped member p of tile (ix, iy) has (p.x - min_x) / tile in
-  // [ix, ix + 1), so rect_of(p, radius) spans at most
-  // ceil(radius / tile) + 1 tiles beyond the home tile in each direction
-  // (the +1 absorbs the multiply-by-inverse rounding). Clamped members
-  // of an EDGE tile can sit arbitrarily far outside the bounds, but
-  // their rects clamp into the grid on the same side, so the expanded,
-  // grid-clamped rectangle below still contains them.
-  // The expansion is clamped in floating point before the cast, like
-  // tile_of. Past the grid's extent it covers the whole grid, and so
-  // does a NaN radius (it fails `<=`; its member windows all clamp into
-  // tile 0). A negative radius expands by the +1 margin only.
-  const double grid = static_cast<double>(std::max(nx_, ny_));
-  double reach = std::ceil(radius * inv_tile_km_);
-  reach = reach <= grid ? reach : grid;
-  reach = reach >= 0.0 ? reach : 0.0;
-  const int expand = static_cast<int>(reach) + 1;
-  Window w;
-  w.owner_ = this;
-  w.x0_ = std::max(0, ix - expand);
-  w.y0_ = std::max(0, iy - expand);
-  w.x1_ = std::min(nx_ - 1, ix + expand);
-  w.y1_ = std::min(ny_ - 1, iy + expand);
-  return w;
-}
-
 std::int32_t TileAggregates::type_upper_bound(geo::Point p, double radius,
                                               TypeId type) const noexcept {
   return window(p, radius).type_bound(type);

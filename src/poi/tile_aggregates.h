@@ -74,16 +74,6 @@ class TileAggregates {
   };
   Tile tile_of(geo::Point p) const noexcept;
 
-  /// Coarse whole-tile window: a covering rectangle that contains
-  /// window(p, radius) for EVERY probe p binned into tile (ix, iy) —
-  /// including out-of-bounds probes clamped into an edge tile. Its
-  /// bounds therefore dominate every member probe's window bounds, so
-  /// one coarse rare-type shortfall rejects a whole tile of candidates
-  /// at once, and a coarse pass never contradicts the per-candidate
-  /// windows (the batched-envelope contract; pinned by
-  /// tests/tile_window_property_test.cpp).
-  Window tile_window(int ix, int iy, double radius) const noexcept;
-
   int nx() const noexcept { return nx_; }
   int ny() const noexcept { return ny_; }
   double tile_km() const noexcept { return tile_km_; }

@@ -28,6 +28,7 @@
 #include <limits>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "attack/chain_attack.h"
@@ -321,6 +322,32 @@ TEST(LinkageProperty, TrackerResetReproducesFreshTracker) {
                                     fresh.survivors().end());
     EXPECT_EQ(a, b) << "seed " << seed;
   }
+}
+
+// A release whose length is not the city's type count is rejected before
+// the tracker changes: it stays unstarted, and the same stream afterwards
+// ends where a fresh tracker does.
+TEST(LinkageProperty, TrackerRejectsReleaseOfWrongLength) {
+  const LinkageFixture& f = *fixtures().front();
+  const std::size_t m = f.city.db.num_types();
+  LinkageEngine::Tracker tracker(*f.engine);
+  for (const std::size_t size : {m - 1, m + 1}) {
+    const poi::FrequencyVector released(size, 1);
+    EXPECT_THROW(tracker.observe(released, 0), std::invalid_argument)
+        << "size " << size;
+    EXPECT_EQ(tracker.releases_seen(), 0u);
+  }
+  const std::vector<TimedRelease> releases = make_releases(f, 4);
+  LinkageEngine::Tracker fresh(*f.engine);
+  for (const TimedRelease& release : releases) {
+    tracker.observe(release.freq, release.time);
+    fresh.observe(release.freq, release.time);
+  }
+  const std::vector<poi::PoiId> a(tracker.survivors().begin(),
+                                  tracker.survivors().end());
+  const std::vector<poi::PoiId> b(fresh.survivors().begin(),
+                                  fresh.survivors().end());
+  EXPECT_EQ(a, b);
 }
 
 TEST(LinkageProperty, ParallelStoreFillMatchesSerial) {

@@ -235,6 +235,77 @@ TEST(Database, AnchorCacheRacingColdLookupsPublishOneEntryPerKey) {
   EXPECT_EQ(stats.lookups(), kThreads * kRounds * kKeys);
 }
 
+TEST(Database, TypeBlockRacingColdLookupsPublishOneBlockPerKey) {
+  // Beijing's most common types at wide radii give blocks slow enough to
+  // build that threads lagging behind a leader catch up with it mid-build
+  // and lose its CAS; a 4-CPU host saw 3-9 losers in each of 20 runs.
+  const City city = generate_city(beijing_preset(), 7);
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kRounds = 5;
+  constexpr std::size_t kKeys = 24;  // distinct types over 3 radii, all cold
+  const std::size_t num_types = city.db.num_types();
+  std::vector<TypeId> by_count(num_types);
+  std::iota(by_count.begin(), by_count.end(), TypeId{0});
+  std::sort(by_count.begin(), by_count.end(), [&](TypeId a, TypeId b) {
+    return city.db.city_freq()[a] > city.db.city_freq()[b];
+  });
+  const auto key_type = [&](std::size_t k) { return by_count[k / 3]; };
+  const auto key_radius = [](std::size_t k) {
+    return 2.0 + 0.5 * static_cast<double>(k % 3);
+  };
+  // seen[t][k]: the address thread t got for key k.
+  std::vector<std::vector<const TypeBlock*>> seen(
+      kThreads, std::vector<const TypeBlock*>(kKeys));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();  // every thread's first lookup is a race
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        for (std::size_t i = 0; i < kKeys; ++i) {
+          // Two groups of four threads walk the keys in lockstep from
+          // two offsets, so most first touches collide.
+          const std::size_t k = (i + (t % 2) * (kKeys / 2)) % kKeys;
+          const TypeBlock* got =
+              &city.db.type_block(key_type(k), key_radius(k));
+          if (round == 0) seen[t][k] = got;
+          ASSERT_EQ(got, seen[t][k]);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    for (std::size_t t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t][k], seen[0][k]) << "key " << k << " thread " << t;
+    }
+    const std::vector<PoiId>& ids = city.db.pois_of_type(key_type(k));
+    ASSERT_EQ(seen[0][k]->count, ids.size());
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      const FrequencyVector f =
+          city.db.freq(city.db.poi(ids[j]).pos, key_radius(k));
+      for (TypeId type = 0; type < num_types; ++type) {
+        ASSERT_EQ(seen[0][k]->row(type)[j], f[type]) << "key " << k;
+      }
+    }
+  }
+  const AnchorCacheStats stats = city.db.anchor_cache_stats();
+  EXPECT_EQ(stats.misses, kKeys);
+  EXPECT_EQ(stats.lookups(), kThreads * kRounds * kKeys);
+}
+
+TEST(Database, TypeBlockRejectsTypeOutOfRange) {
+  const City city = make_test_city();
+  const auto m = static_cast<TypeId>(city.db.num_types());
+  EXPECT_THROW((void)city.db.type_block(m, 1.6), std::out_of_range);
+  (void)city.db.type_block(0, 1.6);
+  EXPECT_THROW((void)city.db.type_block(m + 1000, 1.6), std::out_of_range);
+  const AnchorCacheStats stats = city.db.anchor_cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.lookups(), 1u);  // rejected types are not lookups
+}
+
 TEST(Database, FreqEqualsQueryHistogram) {
   const City city = make_test_city();
   common::Rng rng(5);

@@ -1,17 +1,11 @@
-// TileAggregates windows against brute force, and the batched-envelope
-// contract (poi/tile_aggregates.h, attack/attack_context.h):
+// TileAggregates windows against brute force (poi/tile_aggregates.h):
 //
 //   * the prefix-sum window bounds are EXACT counts over the tile-aligned
 //     covering rectangle — verified against a direct scan of the POI set
 //     on 200 seeded probes, including out-of-bounds probes that clamp
 //     into edge tiles;
-//   * the coarse tile_window(ix, iy, r) dominates the per-candidate
-//     window bounds of every probe binned into that tile, so one coarse
-//     rare-type shortfall soundly rejects the whole tile;
 //   * NaN, infinite and far-off probes and radii clamp into the grid
-//     without overflowing an int cast, and keep both properties above;
-//   * BatchedEnvelope returns exactly the survivor set (and per-candidate
-//     verdict sequence) of the unbatched per-candidate exact_prune loop.
+//     without overflowing an int cast, and keep the property above.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "attack/attack_context.h"
 #include "common/rng.h"
 #include "poi/city_model.h"
 #include "poi/frequency.h"
@@ -79,37 +72,12 @@ TEST_P(SeededTileCity, WindowBoundsEqualBruteForceRectangleCounts) {
   }
 }
 
-// The batched-envelope contract: tile_window's bounds dominate the
-// per-candidate window bounds of every member probe — including members
-// near tile edges and out-of-bounds probes clamped into edge tiles.
-TEST_P(SeededTileCity, CoarseTileWindowDominatesMemberWindows) {
-  const poi::City c = city();
-  const TileAggregates& tiles = c.db.tile_aggregates();
-  common::Rng rng(GetParam() * 601 + 23);
-  for (int trial = 0; trial < 50; ++trial) {
-    const geo::Point p{rng.uniform(-2.0, 10.0), rng.uniform(-2.0, 10.0)};
-    const double r = rng.uniform(0.05, 3.0);
-    const TileAggregates::Tile tile = tiles.tile_of(p);
-    const TileAggregates::Window coarse =
-        tiles.tile_window(tile.ix, tile.iy, r);
-    const TileAggregates::Window fine = tiles.window(p, r);
-    ASSERT_GE(coarse.total_bound(), fine.total_bound())
-        << "probe (" << p.x << ", " << p.y << ") r=" << r;
-    for (poi::TypeId t = 0; t < c.db.num_types(); ++t) {
-      ASSERT_GE(coarse.type_bound(t), fine.type_bound(t))
-          << "probe (" << p.x << ", " << p.y << ") r=" << r << " type=" << t;
-    }
-  }
-}
-
 // Non-finite and far-off probes and radii (NaN, ±inf, ±1e300): tile_of
 // clamps in floating point before it casts, so every probe lands in a
 // grid tile (NaN in tile 0, far-off values on their own side) instead of
 // overflowing int, which the ASan/UBSan build (float-cast-overflow)
 // aborts on. Where the covering rectangle is not inverted, the window
-// still equals the brute-force count. For every radius that is not
-// negative the coarse tile window still dominates it, and for a
-// negative one it still stays inside the grid (ASan checks its reads).
+// still equals the brute-force count.
 TEST_P(SeededTileCity, ExtremeProbesAndRadiiClampIntoTheGrid) {
   const poi::City c = city();
   const TileAggregates& tiles = c.db.tile_aggregates();
@@ -138,82 +106,6 @@ TEST_P(SeededTileCity, ExtremeProbesAndRadiiClampIntoTheGrid) {
           ASSERT_EQ(win.total_bound(), expect_total)
               << "probe (" << px << ", " << py << ") r=" << r;
         }
-        const TileAggregates::Tile home = tiles.tile_of(p);
-        const TileAggregates::Window coarse =
-            tiles.tile_window(home.ix, home.iy, r);
-        const std::int64_t coarse_total = coarse.total_bound();
-        if (r < 0) continue;  // no disk, so nothing to dominate
-        ASSERT_GE(coarse_total, win.total_bound())
-            << "probe (" << px << ", " << py << ") r=" << r;
-        for (poi::TypeId t = 0; t < c.db.num_types(); ++t) {
-          ASSERT_GE(coarse.type_bound(t), win.type_bound(t))
-              << "probe (" << px << ", " << py << ") r=" << r
-              << " type=" << t;
-        }
-      }
-    }
-  }
-}
-
-// BatchedEnvelope vs the unbatched loop: identical per-candidate verdicts
-// (the fired sequence the AdaptiveGate records) and identical survivor
-// sets through prune_batch.
-TEST_P(SeededTileCity, BatchedEnvelopeMatchesPerCandidatePruning) {
-  const poi::City c = city();
-  const attack::AttackContext ctx(c.db);
-  common::Rng rng(GetParam() * 733 + 31);
-  for (int trial = 0; trial < 10; ++trial) {
-    const geo::Point l{rng.uniform(0.0, 8.0), rng.uniform(0.0, 8.0)};
-    const double r = rng.uniform(0.4, 1.6);
-    const FrequencyVector released = c.db.freq(l, r);
-    const auto pivot = ctx.pivot_type(released);
-    if (!pivot) continue;
-    const std::vector<poi::TypeId> rare =
-        ctx.rare_present_types(released, 4, pivot);
-    const std::span<const poi::PoiId> candidates =
-        ctx.candidates_of_type(*pivot);
-
-    attack::AttackContext::BatchedEnvelope envelope(ctx, 2.0 * r, released,
-                                                    rare);
-    std::vector<poi::PoiId> unbatched;
-    for (const poi::PoiId id : candidates) {
-      const geo::Point pos = c.db.poi(id).pos;
-      const bool fired = attack::AttackContext::exact_prune(
-          ctx.window(pos, 2.0 * r), released, rare);
-      EXPECT_EQ(envelope.pruned(pos), fired) << "candidate " << id;
-      if (!fired) unbatched.push_back(id);
-    }
-
-    // A fresh envelope (its memo cold) must yield the same survivors via
-    // the batch entry point.
-    attack::AttackContext::BatchedEnvelope fresh(ctx, 2.0 * r, released,
-                                                 rare);
-    std::vector<poi::PoiId> survivors;
-    fresh.prune_batch(candidates, survivors);
-    EXPECT_EQ(survivors, unbatched);
-  }
-}
-
-// Soundness end to end: no candidate the full dominance test accepts is
-// ever envelope-pruned (batched or not).
-TEST_P(SeededTileCity, EnvelopeNeverPrunesATrueCandidate) {
-  const poi::City c = city();
-  const attack::AttackContext ctx(c.db);
-  common::Rng rng(GetParam() * 887 + 41);
-  for (int trial = 0; trial < 10; ++trial) {
-    const geo::Point l{rng.uniform(0.0, 8.0), rng.uniform(0.0, 8.0)};
-    const double r = rng.uniform(0.4, 1.6);
-    const FrequencyVector released = c.db.freq(l, r);
-    const auto pivot = ctx.pivot_type(released);
-    if (!pivot) continue;
-    const std::vector<poi::TypeId> rare =
-        ctx.rare_present_types(released, 4, pivot);
-    attack::AttackContext::BatchedEnvelope envelope(ctx, 2.0 * r, released,
-                                                    rare);
-    for (const poi::PoiId id : ctx.candidates_of_type(*pivot)) {
-      const geo::Point pos = c.db.poi(id).pos;
-      if (poi::scalar_ref::dominates(c.db.freq(pos, 2.0 * r), released)) {
-        EXPECT_FALSE(envelope.pruned(pos)) << "candidate " << id;
       }
     }
   }
