@@ -19,16 +19,19 @@
 #      never an observable one,
 #   7. an Address+UB-Sanitizer build (float-cast-overflow included)
 #      running the kernel, fingerprint, tile-window, spatial, cloak,
-#      release and linkage property suites and the service suite under
-#      both the native and the scalar tier (the explicit SIMD kernels
-#      read memory in 32-byte gulps, the quadtree's exact-node descent
-#      indexes children by hand, the release rounding casts doubles to
-#      integers, the grid index casts query coordinates to cell numbers,
-#      which service_test drives with infinite, NaN and 1e300 requests,
-#      and the tile grid casts coordinates to tile numbers, which the
-#      tile-window and linkage suites drive with the same values and the
-#      block index uses to pick the bucket rows a query visits;
-#      ASan/UBSan prove all five stay in bounds),
+#      release, linkage and region re-id property suites and the service
+#      suite under both the native and the scalar tier (the explicit SIMD
+#      kernels read memory in 32-byte gulps, the quadtree's exact-node
+#      descent indexes children by hand, the release rounding casts
+#      doubles to integers, the grid index casts query coordinates to
+#      cell numbers, which service_test drives with infinite, NaN and
+#      1e300 requests, the tile grid casts coordinates to tile numbers,
+#      which the tile-window and linkage suites drive with the same
+#      values and the block index uses to pick the bucket rows a query
+#      visits, and region re-id indexes type blocks by type row and
+#      candidate lane, including the pad lanes past the last candidate,
+#      which the region re-id suite drives at 1 to 129 candidates;
+#      ASan/UBSan prove all six stay in bounds),
 #   8. the serving-layer concurrency gate: the session-shard stress,
 #      property and net-framing suites re-run under the ThreadSanitizer
 #      build, then a Release loopback smoke drives the TCP front-end
@@ -119,12 +122,12 @@ for threads in 1 2 8; do
   echo "poibench smoke: scalar == native tier at --threads $threads"
 done
 
-echo "== [7/11] ASan/UBSan build + kernel/spatial/cloak/linkage/service suites per tier =="
+echo "== [7/11] ASan/UBSan build + kernel/spatial/cloak/linkage/re-id/service suites per tier =="
 cmake -B build-asan -S . -DPOIPRIVACY_SANITIZE=address >/dev/null
 asan_suites=(kernel_property_test fingerprint_property_test
              tile_window_property_test spatial_property_test
              cloak_property_test release_property_test service_test
-             linkage_property_test)
+             linkage_property_test region_reid_property_test)
 cmake --build build-asan -j "$jobs" --target "${asan_suites[@]}"
 for tier in native scalar; do
   env_prefix=()

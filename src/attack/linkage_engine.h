@@ -36,10 +36,11 @@
 //     set of layer-0 candidates still alive plus, per survivor, a
 //     bit-packed frontier of current-layer candidates it can reach
 //     through distance-consistent steps. Each new release runs one
-//     baseline inference (tile-envelope + fingerprint pruned, into
-//     reused scratch); while two or more survivors remain it also runs
-//     one SVR step estimate, one block-index build, and a word-parallel
-//     frontier intersection — zero allocations per step in steady state.
+//     baseline inference (one lane-mask pass per present type over
+//     the pivot type's cached anchor block, into reused scratch); while
+//     two or more survivors remain it also runs one SVR step estimate,
+//     one block-index build, and a word-parallel frontier intersection
+//     — zero allocations per step in steady state.
 //     Survivor sets are monotone non-increasing in the number of
 //     releases by construction: a release either prunes survivors or
 //     (when it carries no evidence — an empty layer, or a step that
