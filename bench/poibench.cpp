@@ -1,9 +1,9 @@
 // poibench — the single driver over the scenario catalog.
 //
 //   poibench --list                      catalog with one line per scenario
-//   poibench --scenario NAME [flags...]  run one scenario (same flags as the
-//                                        historical standalone binary; also
-//                                        `poibench NAME [flags...]`)
+//   poibench --scenario NAME [flags...]  run one scenario with its own
+//                                        flags (also `poibench NAME
+//                                        [flags...]`)
 //   poibench --all [--smoke] [flags...]  run every deterministic scenario in
 //                                        registration order; --smoke uses
 //                                        each scenario's pinned tiny-city

@@ -3,11 +3,7 @@
 // per-op CPU time (CLOCK_PROCESS_CPUTIME_ID) and wall-clock p50/p95/p99
 // as JSON. scripts/bench.sh commits the output as BENCH_micro_core.json;
 // --smoke shrinks the iteration counts to a build-gate sanity check.
-//
-// The google-benchmark runner for the same operations stays in
-// bench/micro_core.cpp (that binary delegates its --json mode here), so
-// this library — and everything that links it — does not depend on
-// google-benchmark.
+// Run it as `poibench --scenario micro_core [--json FILE] [--smoke]`.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -34,8 +30,8 @@ namespace {
 
 using namespace poiprivacy;
 
-/// Compiler barrier standing in for benchmark::DoNotOptimize, so the
-/// JSON harness does not pull google-benchmark into the scenario library.
+/// Compiler barrier: keeps the timed call's result alive so the optimizer
+/// cannot drop the call.
 template <typename T>
 inline void keep(const T& value) {
   asm volatile("" : : "r,m"(value) : "memory");
@@ -138,15 +134,11 @@ void emit_bench(eval::JsonWriter& json, const std::string& name,
   json.end_object();
 }
 
+/// Times the fixed kernel/aggregate suite and writes one JSON document to
+/// --json FILE (stdout when absent or "-").
 int run(const eval::BenchOptions& options) {
   const std::string path = options.flags.get("json", std::string{});
   const bool smoke = options.flags.get("smoke", false);
-  return run_micro_core_json(path, smoke);
-}
-
-}  // namespace
-
-int run_micro_core_json(const std::string& path, bool smoke) {
   const std::size_t scale = smoke ? 50 : 1;
   const std::size_t kernel_reps = smoke ? 3 : 25;
   const std::size_t kernel_iters = 20000 / scale;
@@ -391,6 +383,14 @@ int run_micro_core_json(const std::string& path, bool smoke) {
                    keep(gsp.compute_aggregate(keys[call++ & 63]).sum.data());
                  });
     }
+    // Serving Phase B: the k = 16 cloak of a served request, over the same
+    // 64 locations whose regions key compute_aggregate_k16.
+    std::vector<geo::Point> locations;
+    for (std::int64_t j = 0; j < 64; ++j) locations.push_back(location_for(j));
+    std::size_t next = 0;
+    emit_bench(json, "cloak_k16", kernel_reps, kernel_iters / 10 + 1, [&] {
+      keep(cloaker.cloak(locations[next++ & 63], 16).region);
+    });
   }
 
   // Linkage-engine primitives (attack/linkage_engine.h): index build over
@@ -471,6 +471,8 @@ int run_micro_core_json(const std::string& path, bool smoke) {
   out << json.str() << "\n";
   return out ? 0 : 1;
 }
+
+}  // namespace
 
 void register_micro_core(eval::ScenarioRegistry& registry) {
   registry.add({

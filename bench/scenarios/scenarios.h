@@ -5,9 +5,8 @@
 // rather than static-initializer magic the linker could drop.
 //
 // Entry points:
-//   * `poibench` (bench/poibench.cpp) — list/run scenarios by name.
-//   * per-figure shim binaries — `run_scenario_main(name, argc, argv)`,
-//     byte-identical to the historical standalone executables.
+//   * `poibench` (bench/poibench.cpp) — list/run scenarios by name
+//     through `run_scenario_main(name, argc, argv)`.
 //   * tests — register_all_scenarios() plus the eval::ScenarioRegistry
 //     API directly.
 #pragma once
@@ -44,14 +43,8 @@ void register_stream_utility(eval::ScenarioRegistry& registry);
 /// Idempotent: safe to call from several entry points in one process.
 void register_all_scenarios();
 
-/// The micro_core --json harness: times the fixed kernel/aggregate suite
-/// and writes one JSON document to `path` (stdout when empty or "-").
-/// Shared by the micro_core scenario and the google-benchmark binary's
-/// --json mode.
-int run_micro_core_json(const std::string& path, bool smoke);
-
-/// The two-line-shim entry point: registers everything and runs `name`
-/// with the given argv, exactly as the historical standalone binary did.
+/// Registers everything and runs `name` with the given argv (the entry
+/// point behind `poibench --scenario NAME`).
 int run_scenario_main(std::string_view name, int argc,
                       const char* const* argv);
 

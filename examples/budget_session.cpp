@@ -1,13 +1,15 @@
 // Budget-managed release session: a user keeps querying through the DP
-// defense while a privacy accountant tracks composed (eps, delta); the
-// session refuses to release once the ceiling would be crossed.
+// defense while a dp::Ledger tracks composed (eps, delta) —
+// tightest-of(basic, advanced) composition — and refuses to release once
+// the ceiling would be crossed.
 //
 //   ./examples/budget_session [--seed N] [--eps E] [--ceiling C]
 #include <iostream>
 
 #include "common/flags.h"
 #include "common/stats.h"
-#include "defense/session.h"
+#include "defense/opt_defense.h"
+#include "dp/ledger.h"
 #include "poi/city_model.h"
 #include "traj/generators.h"
 
@@ -27,11 +29,20 @@ int main(int argc, char** argv) {
       cloak::uniform_population(city.db.bounds(), 10000, pop_rng),
       city.db.bounds());
 
-  defense::SessionConfig config;
-  config.release.epsilon = flags.get("eps", 0.5);
-  config.release.delta = 0.01;
-  config.epsilon_ceiling = flags.get("ceiling", 4.0);
-  defense::ReleaseSession session(city.db, cloaker, config);
+  defense::DpDefenseConfig release_config;
+  release_config.epsilon = flags.get("eps", 0.5);
+  release_config.delta = 0.01;
+  const dp::PrivacyParams per_release{release_config.epsilon,
+                                      release_config.delta};
+  const defense::DpDefense defense(city.db, cloaker, release_config);
+  dp::Ledger ledger(dp::LedgerConfig{
+      .policy = dp::LedgerPolicy::kAdvancedHeterogeneous,
+      .backend = dp::LedgerBackend::kExact,
+      .epsilon_ceiling = flags.get("ceiling", 4.0),
+      .delta_ceiling = 0.5,
+      .advanced_slack = 1e-6,
+      .window = {},
+  });
 
   // A taxi ride across town, querying every few minutes.
   common::Rng rng(seed + 2);
@@ -40,23 +51,25 @@ int main(int argc, char** argv) {
   taxi_config.points_per_taxi = 25;
   const auto rides = traj::generate_taxi_trajectories(city, taxi_config, rng);
 
-  std::cout << "per release: eps=" << config.release.epsilon
-            << " delta=" << config.release.delta
-            << "; session ceiling eps=" << config.epsilon_ceiling << "\n\n";
+  std::cout << "per release: eps=" << per_release.epsilon
+            << " delta=" << per_release.delta
+            << "; session ceiling eps=" << ledger.config().epsilon_ceiling
+            << "\n\n";
   for (const traj::TrackPoint& fix : rides.front().points) {
-    const auto released = session.release(fix.pos, 1.0, rng);
-    const dp::PrivacyParams spent = session.spent();
     std::cout << "t+" << fix.time % (24 * 3600) / 60 << "min  ";
-    if (released) {
-      std::cout << "released " << poi::total(*released)
-                << " counts; spent eps=" << common::fmt(spent.epsilon, 2)
-                << " delta=" << common::fmt(spent.delta, 3) << "\n";
-    } else {
+    // Admission first: a refused query draws no noise.
+    if (ledger.would_exceed(per_release)) {
       std::cout << "REFUSED — privacy budget exhausted after "
-                << session.releases() << " releases (eps="
-                << common::fmt(spent.epsilon, 2) << ")\n";
+                << ledger.releases() << " releases (eps="
+                << common::fmt(ledger.spent().epsilon, 2) << ")\n";
       break;
     }
+    const poi::FrequencyVector released = defense.release(fix.pos, 1.0, rng);
+    ledger.record(per_release);
+    const dp::PrivacyParams spent = ledger.spent();
+    std::cout << "released " << poi::total(released)
+              << " counts; spent eps=" << common::fmt(spent.epsilon, 2)
+              << " delta=" << common::fmt(spent.delta, 3) << "\n";
   }
   return 0;
 }

@@ -46,6 +46,41 @@ volatile std::sig_atomic_t g_stop = 0;
 
 void on_signal(int) { g_stop = 1; }
 
+struct IntegerFlags {
+  std::uint16_t port = 0;
+  std::size_t workers = 0;
+  std::uint64_t session_ttl = 0;
+  std::uint64_t cache_ttl = 0;
+  std::uint64_t renew_window = 0;
+  std::uint64_t max_frames = 0;
+  std::size_t stream_users = 0;
+  std::size_t stream_window = 0;
+};
+
+/// Range-checks every integer flag up front: unchecked, --workers -1
+/// would ask the thread pool for ~2^64 threads and --port 70000 would
+/// wrap to 4464. Throws std::invalid_argument naming the bad flag.
+IntegerFlags read_integer_flags(const common::Flags& flags) {
+  IntegerFlags out;
+  out.port = static_cast<std::uint16_t>(
+      flags.get_in_range("port", 0, 0, 65535));
+  out.workers =
+      static_cast<std::size_t>(flags.get_in_range("workers", 4, 1, 1024));
+  out.session_ttl =
+      static_cast<std::uint64_t>(flags.get_in_range("session-ttl", 0, 0));
+  out.cache_ttl =
+      static_cast<std::uint64_t>(flags.get_in_range("cache-ttl", 0, 0));
+  out.renew_window =
+      static_cast<std::uint64_t>(flags.get_in_range("renew-window", 0, 0));
+  out.max_frames =
+      static_cast<std::uint64_t>(flags.get_in_range("max-frames", 0, 0));
+  out.stream_users =
+      static_cast<std::size_t>(flags.get_in_range("stream-users", 64, 1));
+  out.stream_window =
+      static_cast<std::size_t>(flags.get_in_range("stream-window", 2, 1));
+  return out;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -60,8 +95,13 @@ int main(int argc, char** argv) {
   }
   const auto seed = static_cast<std::uint64_t>(
       flags.get("seed", static_cast<std::int64_t>(42)));
-  const auto max_frames =
-      static_cast<std::uint64_t>(flags.get("max-frames", std::int64_t{0}));
+  IntegerFlags ints;
+  try {
+    ints = read_integer_flags(flags);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "serve_tcp: " << e.what() << "\n";
+    return 2;
+  }
   flags.apply_threads_flag();
   flags.apply_metrics_flag();
 
@@ -78,12 +118,9 @@ int main(int argc, char** argv) {
       {"coarse", {.k = 32, .epsilon = 0.1, .delta = 0.001}});
   config.degrade_policy = 1;
   config.epsilon_ceiling = flags.get("ceiling", 6.0);
-  config.session_ttl_epochs =
-      static_cast<std::uint64_t>(flags.get("session-ttl", std::int64_t{0}));
-  config.cache_ttl_epochs =
-      static_cast<std::uint64_t>(flags.get("cache-ttl", std::int64_t{0}));
-  config.session_renew_epochs =
-      static_cast<std::uint64_t>(flags.get("renew-window", std::int64_t{0}));
+  config.session_ttl_epochs = ints.session_ttl;
+  config.cache_ttl_epochs = ints.cache_ttl;
+  config.session_renew_epochs = ints.renew_window;
   config.seed = seed;
   service::ReleaseService gsp(city.db, cloaker, config);
 
@@ -91,16 +128,14 @@ int main(int argc, char** argv) {
   // streams the mia suite attacks, released raw — the serving layer
   // draws the per-request noise and meters the session budget.
   mia::MobilityConfig mobility;
-  mobility.num_users = static_cast<std::size_t>(
-      flags.get("stream-users", std::int64_t{64}));
+  mobility.num_users = ints.stream_users;
   mobility.epochs = 16;
   mobility.visits_per_epoch = 3;
   mobility.profile_tiles = 3;
   const attack::AttackContext ctx(city.db);
   const mia::UserTraces traces = mia::generate_traces(ctx, mobility, seed + 2);
   mia::StreamConfig stream_config;
-  stream_config.window_epochs = static_cast<std::size_t>(
-      flags.get("stream-window", std::int64_t{2}));
+  stream_config.window_epochs = ints.stream_window;
   stream_config.stride = 1;
   stream_config.epsilon = 0.0;  // raw: noise belongs to the serving layer
   const mia::AggregateStreamReleaser releaser(traces, stream_config,
@@ -112,10 +147,8 @@ int main(int argc, char** argv) {
   gsp.attach_stream_source(&stream_source);
 
   net::ServerConfig server_config;
-  server_config.port =
-      static_cast<std::uint16_t>(flags.get("port", std::int64_t{0}));
-  server_config.workers =
-      static_cast<std::size_t>(flags.get("workers", std::int64_t{4}));
+  server_config.port = ints.port;
+  server_config.workers = ints.workers;
   net::ReleaseServer server(gsp, server_config);
   server.start();
 
@@ -135,7 +168,10 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     static int ticks = 0;
     if (ticking && ++ticks % 5 == 0) gsp.advance_epoch();
-    if (max_frames > 0 && server.stats().frames_served >= max_frames) break;
+    if (ints.max_frames > 0 &&
+        server.stats().frames_served >= ints.max_frames) {
+      break;
+    }
   }
   server.stop();
 

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
 # One-stop pre-merge gate:
-#   1. plain build + the tier-1 test suite,
+#   1. the dead-header check (every src/**/*.h must be included by some
+#      file under src/, bench/, examples/ or perfbench/ other than its own
+#      .cpp — code that only its own tests reach is deleted), then the
+#      plain build + the tier-1 test suite,
 #   2. ThreadSanitizer build + the concurrency suites (`-L tsan`),
 #   3. the metrics-determinism binary, which internally re-runs the
 #      service and eval pipelines at --threads 1/2/8 with mid-run
@@ -64,7 +67,20 @@ cd "$(dirname "$0")/.."
 
 jobs="${1:-$(nproc)}"
 
-echo "== [1/11] plain build + tier-1 tests =="
+echo "== [1/11] dead-header check + plain build + tier-1 tests =="
+dead_headers=0
+while IFS= read -r header; do
+  includers="$(grep -rlF "#include \"${header#src/}\"" \
+                 src bench examples perfbench \
+               | grep -vxF "${header%.h}.cpp" || true)"
+  if [ -z "$includers" ]; then
+    echo "check.sh: dead header $header: nothing under src/ bench/" \
+         "examples/ perfbench/ includes it but its own .cpp" >&2
+    dead_headers=1
+  fi
+done < <(find src -name '*.h' | sort)
+[ "$dead_headers" = 0 ] || exit 1
+echo "dead-header check: every src header has an includer"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
 (cd build && ctest -L tier1 --output-on-failure -j "$jobs")

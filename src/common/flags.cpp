@@ -1,6 +1,7 @@
 #include "common/flags.h"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
 
 #include "common/parallel.h"
@@ -75,6 +76,25 @@ std::int64_t Flags::get(const std::string& name, std::int64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   return std::stoll(it->second);
+}
+
+std::int64_t Flags::get_in_range(const std::string& name,
+                                 std::int64_t fallback, std::int64_t min,
+                                 std::int64_t max) const {
+  const auto it = values_.find(name);
+  if (it == values_.end()) return fallback;
+  const std::string& text = it->second;
+  std::int64_t value = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  const bool parsed = error == std::errc{} && end == text.data() + text.size();
+  if (parsed && value >= min && value <= max) return value;
+  const std::string range =
+      max == std::numeric_limits<std::int64_t>::max()
+          ? ">= " + std::to_string(min)
+          : "in [" + std::to_string(min) + ", " + std::to_string(max) + "]";
+  throw std::invalid_argument("--" + name + " must be an integer " + range +
+                              ", got '" + text + "'");
 }
 
 double Flags::get(const std::string& name, double fallback) const {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -26,6 +27,13 @@ class Flags {
   std::int64_t get(const std::string& name, std::int64_t fallback) const;
   double get(const std::string& name, double fallback) const;
   bool get(const std::string& name, bool fallback) const;
+
+  /// Integer flag constrained to [min, max]: `fallback` when absent, else
+  /// the value, which must be a whole base-10 integer in range. Throws
+  /// std::invalid_argument naming the flag otherwise.
+  std::int64_t get_in_range(
+      const std::string& name, std::int64_t fallback, std::int64_t min,
+      std::int64_t max = std::numeric_limits<std::int64_t>::max()) const;
 
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

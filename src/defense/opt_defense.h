@@ -64,7 +64,7 @@ enum class DpNoiseKind {
   /// (delta = 0); under the paper's neighboring-datasets definition only
   /// one dimension changes, so per-dimension noise calibrated to that
   /// dimension's sensitivity suffices. Ablated in
-  /// bench/ablation_dp_noise.
+  /// `poibench --scenario ablation_dp_noise`.
   kGeometric,
 };
 

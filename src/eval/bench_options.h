@@ -1,7 +1,7 @@
 // Shared option plumbing for the figure-reproduction scenarios: flag
 // parsing with uniform defaults and workbench construction. Lives in eval
-// so the scenario registry, the `poibench` driver, the per-figure shim
-// binaries, and the tests all share one parser.
+// so the scenario registry, the `poibench` driver and the tests all share
+// one parser.
 //
 // Every scenario accepts:
 //   --seed N        master seed (default 42)

@@ -1,13 +1,12 @@
 // ScenarioRegistry — the figure/ablation benchmarks as first-class data.
 //
-// Every `bench/fig*` and `ablation_*` main used to be a standalone binary
-// with copy-pasted flag plumbing. Each is now a registered Scenario: a
+// Every figure, ablation and timing benchmark is a registered Scenario: a
 // name, a description, the extra flags it understands, and a run function
 // over eval::BenchOptions. One driver binary (`poibench`) lists and runs
-// them (`--list`, `--scenario NAME`, `--all --smoke`), the per-figure
-// executables are two-line shims over run_main, and the test suite drives
-// the same entry points — so the scenario catalog, the CLI surface, and
-// the golden coverage can no longer drift apart.
+// them (`--list`, `--scenario NAME`, `--all --smoke`) through run_main,
+// and the test suite drives the same entry point — so the scenario
+// catalog, the CLI surface, and the golden coverage can no longer drift
+// apart.
 //
 // Registration is explicit (bench/scenarios/register_all_scenarios), not
 // static-initializer magic: scenarios live in a static library, where
@@ -25,7 +24,8 @@
 namespace poiprivacy::eval {
 
 struct Scenario {
-  /// Registry key, also the legacy binary's name (e.g. "fig05_kcloak").
+  /// Registry key, the NAME of `poibench --scenario NAME` (e.g.
+  /// "fig05_kcloak").
   std::string name;
   /// One-line summary shown by `poibench --list`.
   std::string description;
@@ -62,8 +62,8 @@ class ScenarioRegistry {
   const std::vector<Scenario>& all() const noexcept { return scenarios_; }
 
   /// Runs one scenario as if it were a standalone binary: parses argv
-  /// with the scenario's extra flags (so `--help` and unknown-flag
-  /// rejection behave exactly like the legacy executables) and invokes
+  /// with the scenario's extra flags (so `--help` lists them and an
+  /// unknown flag is rejected naming it) and invokes
   /// run. Unknown scenario names print the known list to stderr and
   /// return 2.
   int run_main(std::string_view name, int argc,

@@ -1,5 +1,6 @@
 // Kernel ridge regression — closed-form alternative to the SVR used by
-// the trajectory attack (ablated in bench/ablation_regressors).
+// the trajectory attack (ablated in `poibench --scenario
+// ablation_regressors`).
 //
 // Solves (K + lambda I) alpha = y via Cholesky on the (bias-absorbed)
 // Gram matrix; prediction is sum_i alpha_i k'(x_i, x).

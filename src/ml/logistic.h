@@ -1,7 +1,7 @@
 // Multinomial (one-vs-rest) logistic regression trained by mini-batch
 // SGD with L2 regularization — a linear-model ablation against the
 // paper's SVM choice for the sanitization-recovery classifiers
-// (bench/ablation_recovery_models).
+// (`poibench --scenario ablation_recovery_models`).
 #pragma once
 
 #include <span>

@@ -5,7 +5,8 @@
 // aggregation is interesting for privacy: rare *types* drive location
 // uniqueness, while *categories* are common everywhere — releasing the
 // category histogram instead of the type histogram is a natural
-// coarsening defense evaluated in bench/ext_category_defense.
+// coarsening defense evaluated in `poibench --scenario
+// ext_category_defense`.
 #pragma once
 
 #include <array>

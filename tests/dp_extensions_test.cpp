@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include "cloak/kcloak.h"
 #include "common/rng.h"
 #include "common/stats.h"
+#include "defense/opt_defense.h"
 #include "dp/ledger.h"
 #include "dp/discrete.h"
+#include "poi/city_model.h"
 
 namespace poiprivacy::dp {
 namespace {
@@ -322,6 +325,109 @@ TEST(WindowedLedger, InvalidChargeDoesNotTouchWindow) {
   EXPECT_THROW(ledger.charge({0.0, 0.0}, 0), std::invalid_argument);
   EXPECT_EQ(ledger.releases(), 0u);
   EXPECT_EQ(ledger.windows_touched(), 0u);
+}
+
+// Budget-managed release sessions: a dp::Ledger with ceilings gating a
+// DpDefense, run the way examples/budget_session runs it — would_exceed,
+// then release, then record.
+class LedgerSession : public ::testing::Test {
+ protected:
+  static LedgerConfig ceilings(double epsilon, double delta, double slack) {
+    return {.policy = slack > 0.0 ? LedgerPolicy::kAdvancedHeterogeneous
+                                  : LedgerPolicy::kBasic,
+            .backend = LedgerBackend::kExact,
+            .epsilon_ceiling = epsilon,
+            .delta_ceiling = delta,
+            .advanced_slack = slack,
+            .window = {}};
+  }
+
+  /// Releases granted out of `attempts` queries at (4, 4), r = 1 km.
+  int granted(Ledger& ledger, PrivacyParams per_release, int attempts,
+              std::uint64_t seed) const {
+    defense::DpDefenseConfig config;
+    config.epsilon = per_release.epsilon;
+    config.delta = per_release.delta;
+    const defense::DpDefense defense(city_.db, cloaker_, config);
+    common::Rng rng(seed);
+    int grants = 0;
+    for (int i = 0; i < attempts; ++i) {
+      if (ledger.would_exceed(per_release)) continue;
+      const poi::FrequencyVector released = defense.release({4.0, 4.0}, 1.0,
+                                                            rng);
+      EXPECT_EQ(released.size(), city_.db.num_types());
+      ledger.record(per_release);
+      ++grants;
+    }
+    return grants;
+  }
+
+  const poi::City city_ = poi::generate_city(poi::test_preset(), 7);
+  const cloak::AdaptiveIntervalCloaker cloaker_ = [this] {
+    common::Rng rng(3);
+    return cloak::AdaptiveIntervalCloaker(
+        cloak::uniform_population(city_.db.bounds(), 500, rng),
+        city_.db.bounds());
+  }();
+};
+
+TEST_F(LedgerSession, BasicEpsilonCeilingGrantsThree) {
+  Ledger ledger(ceilings(3.5, 1.0, 0.0));
+  EXPECT_EQ(ledger.releases(), 0u);
+  EXPECT_DOUBLE_EQ(ledger.spent().epsilon, 0.0);
+  // eps ceiling 3.5 with 1.0 per release -> exactly 3 releases.
+  EXPECT_EQ(granted(ledger, {1.0, 0.05}, 10, 5), 3);
+  EXPECT_EQ(ledger.releases(), 3u);
+  EXPECT_TRUE(ledger.would_exceed({1.0, 0.05}));
+  EXPECT_NEAR(ledger.spent().epsilon, 3.0, 1e-9);
+  EXPECT_NEAR(ledger.spent().delta, 0.15, 1e-9);
+}
+
+TEST_F(LedgerSession, DeltaCeilingAlsoStops) {
+  Ledger ledger(ceilings(100.0, 0.5, 0.0));
+  EXPECT_EQ(granted(ledger, {0.1, 0.2}, 10, 7), 2);  // 3 * 0.2 > 0.5
+}
+
+TEST_F(LedgerSession, AdvancedCompositionGrantsMoreSmallReleases) {
+  Ledger basic(ceilings(2.0, 1.0, 0.0));
+  Ledger advanced(ceilings(2.0, 1.0, 1e-6));
+  const int basic_grants = granted(basic, {0.01, 1e-5}, 1600, 9);
+  const int advanced_grants = granted(advanced, {0.01, 1e-5}, 1600, 9);
+  // Basic composition caps out around ceiling / eps = 200 releases
+  // (floating-point summation may shave one off); sqrt-scaling advanced
+  // composition grants several times more.
+  EXPECT_GE(basic_grants, 199);
+  EXPECT_LE(basic_grants, 200);
+  EXPECT_GT(advanced_grants, 2 * basic_grants);
+}
+
+TEST_F(LedgerSession, RemainingShrinksWithSpendAndClampsAtZero) {
+  Ledger ledger(ceilings(2.5, 1.0, 0.0));
+  EXPECT_DOUBLE_EQ(ledger.remaining().epsilon, 2.5);
+  EXPECT_DOUBLE_EQ(ledger.remaining().delta, 1.0);
+  ledger.record({1.0, 0.05});
+  EXPECT_NEAR(ledger.remaining().epsilon, 1.5, 1e-12);
+  EXPECT_NEAR(ledger.remaining().delta, 0.95, 1e-12);
+  ledger.record({1.0, 0.05});
+  ledger.record({1.0, 0.05});
+  // Spent (3.0) exceeds the 2.5 ceiling; remaining clamps at zero.
+  EXPECT_DOUBLE_EQ(ledger.remaining().epsilon, 0.0);
+}
+
+TEST_F(LedgerSession, WouldExceedGatesWithoutThrowing) {
+  Ledger ledger(ceilings(2.0, 1.0, 0.0));
+  EXPECT_FALSE(ledger.would_exceed({1.0, 0.0}));
+  EXPECT_TRUE(ledger.would_exceed({2.5, 0.0}));
+  // A cheaper policy can still fit after the nominal one no longer does.
+  ledger.record({1.0, 0.0});
+  ledger.record({0.5, 0.0});
+  EXPECT_TRUE(ledger.would_exceed({1.0, 0.0}));
+  EXPECT_FALSE(ledger.would_exceed({0.5, 0.0}));
+
+  // Invalid parameters are never admissible but must not throw.
+  EXPECT_TRUE(ledger.would_exceed({0.0, 0.0}));
+  EXPECT_TRUE(ledger.would_exceed({-1.0, 0.0}));
+  EXPECT_TRUE(ledger.would_exceed({0.5, 1.0}));
 }
 
 }  // namespace

@@ -4,7 +4,6 @@
 
 #include "common/rng.h"
 #include "geo/geometry.h"
-#include "geo/latlon.h"
 
 namespace poiprivacy::geo {
 namespace {
@@ -122,58 +121,6 @@ TEST(DisksIntersection, InAllDisksConsistent) {
   EXPECT_TRUE(in_all_disks({0.5, 0.0}, disks));
   EXPECT_FALSE(in_all_disks({-0.5, 0.0}, disks));
   EXPECT_FALSE(in_all_disks({1.5, 0.0}, disks));
-}
-
-TEST(Haversine, ZeroForIdenticalPoints) {
-  const LatLon p{40.0, 116.0};
-  EXPECT_DOUBLE_EQ(haversine_km(p, p), 0.0);
-}
-
-TEST(Haversine, KnownCityPairDistance) {
-  // Beijing <-> Shanghai is roughly 1067 km.
-  const LatLon beijing{39.9042, 116.4074};
-  const LatLon shanghai{31.2304, 121.4737};
-  EXPECT_NEAR(haversine_km(beijing, shanghai), 1067.0, 10.0);
-}
-
-TEST(Haversine, OneDegreeLatitudeIsAbout111Km) {
-  const LatLon a{40.0, 116.0};
-  const LatLon b{41.0, 116.0};
-  EXPECT_NEAR(haversine_km(a, b), 111.2, 0.5);
-}
-
-TEST(Projection, RoundTripsNearReference) {
-  const LocalProjection proj({40.0, 116.3});
-  common::Rng rng(7);
-  for (int i = 0; i < 100; ++i) {
-    const LatLon geo{40.0 + rng.uniform(-0.2, 0.2),
-                     116.3 + rng.uniform(-0.2, 0.2)};
-    const LatLon back = proj.to_geo(proj.to_plane(geo));
-    EXPECT_NEAR(back.lat_deg, geo.lat_deg, 1e-9);
-    EXPECT_NEAR(back.lon_deg, geo.lon_deg, 1e-9);
-  }
-}
-
-TEST(Projection, PlanarDistanceTracksHaversine) {
-  const LocalProjection proj({40.0, 116.3});
-  common::Rng rng(9);
-  for (int i = 0; i < 50; ++i) {
-    const LatLon a{40.0 + rng.uniform(-0.15, 0.15),
-                   116.3 + rng.uniform(-0.15, 0.15)};
-    const LatLon b{40.0 + rng.uniform(-0.15, 0.15),
-                   116.3 + rng.uniform(-0.15, 0.15)};
-    const double planar = distance(proj.to_plane(a), proj.to_plane(b));
-    const double sphere = haversine_km(a, b);
-    EXPECT_NEAR(planar, sphere, std::max(0.005, sphere * 0.002));
-  }
-}
-
-TEST(Projection, ReferenceMapsToOrigin) {
-  const LatLon ref{40.0, 116.3};
-  const LocalProjection proj(ref);
-  const Point origin = proj.to_plane(ref);
-  EXPECT_NEAR(origin.x, 0.0, 1e-12);
-  EXPECT_NEAR(origin.y, 0.0, 1e-12);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 // The scenario catalog as a contract: registration is complete and
 // idempotent, every scenario runs clean in smoke mode on the tiny golden
 // city, and the fig02/fig05/fig11 tables reproduced through the driver
-// path (`run_scenario_main`, the same entry `poibench` and the shim
-// binaries use) match the text the historical standalone executables
-// printed. The pinned lines below were captured from a trusted run at
+// path (`run_scenario_main`, the entry `poibench` uses) match the text
+// the historical standalone executables printed. The pinned lines below were captured from a trusted run at
 // seed 4242 before the scenario refactor.
 #include <gtest/gtest.h>
 

@@ -22,7 +22,6 @@
 #include "spatial/grid_index.h"
 #include "spatial/kdtree.h"
 #include "spatial/quadtree.h"
-#include "spatial/rtree.h"
 
 namespace poiprivacy {
 namespace {
@@ -463,27 +462,6 @@ TEST(SpatialProperty, GridIndexEdgeNudgedPointsMatchPredicate) {
       expect_disk_queries_match_predicate(
           index, points, labels, 3, center, r,
           "case " + std::to_string(c) + " cell " + std::to_string(cell_km));
-    }
-  }
-}
-
-TEST(SpatialProperty, RTreeMatchesBruteForceDiskAndBox) {
-  const common::Rng base(0x57A71A22u);
-  for (std::size_t c = 0; c < kCases; ++c) {
-    common::Rng rng = base.substream(c);
-    const auto points =
-        random_points(rng, static_cast<std::size_t>(rng.uniform_int(0, 60)));
-    const spatial::RTree tree(
-        points, static_cast<std::size_t>(rng.uniform_int(1, 20)));
-    for (int q = 0; q < 4; ++q) {
-      const geo::Point center = random_center(rng);
-      const double radius = rng.uniform(0.0, 5.0);
-      EXPECT_EQ(sorted(tree.query_disk(center, radius)),
-                sorted(brute_disk(points, center, radius)))
-          << "case " << c << " query " << q;
-      const geo::BBox box = random_box(rng);
-      EXPECT_EQ(sorted(tree.query_box(box)), sorted(brute_box(points, box)))
-          << "case " << c << " query " << q;
     }
   }
 }

@@ -1,91 +1,10 @@
-#include <set>
-
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
 #include "poi/city_model.h"
 #include "poi/statistics.h"
-#include "spatial/rtree.h"
 
 namespace poiprivacy {
 namespace {
-
-std::vector<geo::Point> random_points(std::size_t n, const geo::BBox& box,
-                                      common::Rng& rng) {
-  std::vector<geo::Point> pts;
-  for (std::size_t i = 0; i < n; ++i) {
-    pts.push_back({rng.uniform(box.min_x, box.max_x),
-                   rng.uniform(box.min_y, box.max_y)});
-  }
-  return pts;
-}
-
-class RTreeProperty : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(RTreeProperty, DiskQueryMatchesBruteForce) {
-  common::Rng rng(17);
-  const geo::BBox box{0.0, 0.0, 20.0, 14.0};
-  const auto pts = random_points(700, box, rng);
-  const spatial::RTree tree(pts, GetParam());
-  for (int trial = 0; trial < 40; ++trial) {
-    const geo::Point c{rng.uniform(-2.0, 22.0), rng.uniform(-2.0, 16.0)};
-    const double r = rng.uniform(0.2, 5.0);
-    const auto got = tree.query_disk(c, r);
-    std::set<std::uint32_t> got_set(got.begin(), got.end());
-    EXPECT_EQ(got.size(), got_set.size());
-    std::set<std::uint32_t> expected;
-    for (std::uint32_t i = 0; i < pts.size(); ++i) {
-      if (geo::distance(pts[i], c) <= r) expected.insert(i);
-    }
-    EXPECT_EQ(got_set, expected) << "leaf=" << GetParam();
-  }
-}
-
-TEST_P(RTreeProperty, BoxQueryMatchesBruteForce) {
-  common::Rng rng(19);
-  const geo::BBox bounds{0.0, 0.0, 10.0, 10.0};
-  const auto pts = random_points(400, bounds, rng);
-  const spatial::RTree tree(pts, GetParam());
-  for (int trial = 0; trial < 30; ++trial) {
-    geo::BBox q{rng.uniform(0.0, 8.0), rng.uniform(0.0, 8.0), 0.0, 0.0};
-    q.max_x = q.min_x + rng.uniform(0.3, 4.0);
-    q.max_y = q.min_y + rng.uniform(0.3, 4.0);
-    const auto got = tree.query_box(q);
-    std::set<std::uint32_t> got_set(got.begin(), got.end());
-    std::set<std::uint32_t> expected;
-    for (std::uint32_t i = 0; i < pts.size(); ++i) {
-      if (q.contains(pts[i])) expected.insert(i);
-    }
-    EXPECT_EQ(got_set, expected);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(LeafCapacities, RTreeProperty,
-                         ::testing::Values(1u, 4u, 16u, 64u));
-
-TEST(RTree, EmptyTree) {
-  const spatial::RTree tree({});
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_EQ(tree.height(), 0);
-  EXPECT_TRUE(tree.query_disk({0.0, 0.0}, 5.0).empty());
-}
-
-TEST(RTree, SinglePoint) {
-  const spatial::RTree tree({{1.0, 2.0}});
-  EXPECT_EQ(tree.height(), 1);
-  EXPECT_EQ(tree.query_disk({1.0, 2.0}, 0.1).size(), 1u);
-  EXPECT_TRUE(tree.query_disk({5.0, 5.0}, 0.1).empty());
-}
-
-TEST(RTree, HeightGrowsLogarithmically) {
-  common::Rng rng(23);
-  const geo::BBox box{0.0, 0.0, 10.0, 10.0};
-  const spatial::RTree small(random_points(10, box, rng), 16);
-  const spatial::RTree large(random_points(5000, box, rng), 16);
-  EXPECT_EQ(small.height(), 1);
-  EXPECT_GE(large.height(), 2);
-  EXPECT_LE(large.height(), 4);
-}
 
 TEST(Statistics, TypeCountSummaryMatchesPreset) {
   const poi::City city = poi::generate_city(poi::test_preset(), 7);
