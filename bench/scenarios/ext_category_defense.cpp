@@ -68,6 +68,7 @@ void register_ext_category_defense(eval::ScenarioRegistry& registry) {
       .name = "ext_category_defense",
       .description = "Extension: category coarsening as an aggregate-level "
                      "defense",
+      .extra_flags = {},
       .smoke_args = {"--locations", "10", "--seed", "4242"},
       .run = run,
   });

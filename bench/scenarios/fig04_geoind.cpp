@@ -64,6 +64,7 @@ void register_fig04_geoind(eval::ScenarioRegistry& registry) {
       .name = "fig04_geoind",
       .description = "Fig. 4: geo-indistinguishability (planar Laplace) vs "
                      "the baseline attack",
+      .extra_flags = {},
       .smoke_args = {"--locations", "10", "--seed", "4242"},
       .run = run,
   });

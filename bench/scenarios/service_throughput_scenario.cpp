@@ -19,8 +19,9 @@
 // N client connections each owning the trace slice of users hashed to
 // it (preserving per-user request order, so admission sequences match
 // the batch path's), --pipeline frames in flight per connection. The
-// JSON then reports the wire path's numbers ("transport": "tcp") with
-// admission counters from the concurrent-path stats.
+// JSON then reports the wire path's numbers ("transport": "tcp"); the
+// admission counters come from the same stats(), which every serving
+// path counts into.
 #include <cstdint>
 #include <ctime>
 #include <iostream>
@@ -260,8 +261,7 @@ int run(const eval::BenchOptions& options) {
     return 1;
   }
 
-  const service::ServiceStats stats =
-      connections == 0 ? gsp.stats() : gsp.concurrent_stats();
+  const service::ServiceStats stats = gsp.stats();
   const service::ReleaseCacheStats cache = gsp.cache_stats();
 
   eval::JsonWriter json;

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   const std::vector<service::ReleaseResult> results =
       gsp.serve(service::requests_of(trace));
 
-  const service::ServiceStats& stats = gsp.stats();
+  const service::ServiceStats stats = gsp.stats();
   eval::print_section(std::cout, "admission outcomes");
   eval::Table outcomes({"status", "count", "fraction"});
   for (const service::ReleaseStatus status : service::kAllStatuses) {

@@ -5,8 +5,8 @@
 // src/net until SIGINT/SIGTERM (or after --max-frames frames, for
 // scripted smoke runs). Point any src/net Client at the printed port:
 //
-//   ./examples/serve_tcp [--port P] [--workers N] [--users N]
-//                        [--ceiling E] [--session-ttl N] [--cache-ttl N]
+//   ./examples/serve_tcp [--port P] [--workers N] [--ceiling E]
+//                        [--session-ttl N] [--cache-ttl N]
 //                        [--renew-window N] [--stream-users N]
 //                        [--stream-window N] [--max-frames N] [--seed N]
 //                        [--threads N] [--metrics[=F]] [--help]
@@ -86,23 +86,26 @@ IntegerFlags read_integer_flags(const common::Flags& flags) {
 int main(int argc, char** argv) {
   const common::Flags flags(
       argc, argv,
-      {"port", "workers", "users", "ceiling", "session-ttl", "cache-ttl",
+      {"port", "workers", "ceiling", "session-ttl", "cache-ttl",
        "renew-window", "stream-users", "stream-window", "max-frames", "seed",
        common::Flags::kThreadsFlag, common::Flags::kMetricsFlag});
   if (flags.help_requested()) {
     std::cout << flags.usage(argv[0]);
     return 0;
   }
-  const auto seed = static_cast<std::uint64_t>(
-      flags.get("seed", static_cast<std::int64_t>(42)));
+  std::uint64_t seed = 0;
+  double ceiling = 0.0;
   IntegerFlags ints;
   try {
+    seed = static_cast<std::uint64_t>(
+        flags.get("seed", static_cast<std::int64_t>(42)));
+    ceiling = flags.get("ceiling", 6.0);
     ints = read_integer_flags(flags);
+    flags.apply_threads_flag();
   } catch (const std::invalid_argument& e) {
     std::cerr << "serve_tcp: " << e.what() << "\n";
     return 2;
   }
-  flags.apply_threads_flag();
   flags.apply_metrics_flag();
 
   const poi::City city = poi::generate_city(poi::beijing_preset(), seed);
@@ -117,7 +120,7 @@ int main(int argc, char** argv) {
   config.policies.push_back(
       {"coarse", {.k = 32, .epsilon = 0.1, .delta = 0.001}});
   config.degrade_policy = 1;
-  config.epsilon_ceiling = flags.get("ceiling", 6.0);
+  config.epsilon_ceiling = ceiling;
   config.session_ttl_epochs = ints.session_ttl;
   config.cache_ttl_epochs = ints.cache_ttl;
   config.session_renew_epochs = ints.renew_window;
@@ -176,7 +179,7 @@ int main(int argc, char** argv) {
   server.stop();
 
   const net::ServerStats net_stats = server.stats();
-  const service::ServiceStats stats = gsp.concurrent_stats();
+  const service::ServiceStats stats = gsp.stats();
   const service::SessionTableStats sessions = gsp.session_stats();
   std::cout << "served " << net_stats.frames_served << " frames over "
             << net_stats.connections_accepted << " connections ("

@@ -7,7 +7,11 @@
 #   2. ThreadSanitizer build + the concurrency suites (`-L tsan`),
 #   3. the metrics-determinism binary, which internally re-runs the
 #      service and eval pipelines at --threads 1/2/8 with mid-run
-#      registry scrapes and asserts bit-identical results,
+#      registry scrapes and asserts bit-identical results, then an
+#      end-to-end --metrics dump: the service_throughput scenario on its
+#      pinned smoke arguments must write a parseable JSON registry
+#      holding service.batch_seconds, a service.phase.*_seconds
+#      histogram that recorded samples, and parallel.tasks,
 #   4. the scenario-catalog determinism gate: poibench --all --smoke at
 #      --threads 1 and --threads 8 must produce identical stdout (only
 #      the printed thread count is normalized away),
@@ -90,8 +94,24 @@ cmake -B build-tsan -S . -DPOIPRIVACY_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$jobs"
 (cd build-tsan && ctest -L tsan --output-on-failure -j "$jobs")
 
-echo "== [3/11] metrics determinism at --threads 1/2/8 =="
+echo "== [3/11] metrics determinism at --threads 1/2/8 + --metrics dump =="
 ./build/tests/obs_determinism_test
+metrics_json="$(mktemp)"
+./build/bench/poibench --scenario service_throughput --users 50 \
+  --requests 5 --seed 4242 --metrics="$metrics_json" >/dev/null 2>&1
+python3 -c "
+import json
+with open('$metrics_json') as f:
+    doc = json.load(f)
+assert 'service.batch_seconds' in doc, 'no service.batch_seconds'
+phases = [k for k, v in doc.items()
+          if k.startswith('service.phase.') and k.endswith('_seconds')
+          and v['count'] > 0]
+assert phases, 'no service.phase.*_seconds histogram with samples'
+assert 'parallel.tasks' in doc, 'no parallel.tasks'
+print('metrics dump:', len(doc), 'metrics,', len(phases), 'phase histograms')
+"
+rm -f "$metrics_json"
 
 echo "== [4/11] poibench --all --smoke determinism at --threads 1/8 =="
 cmake --build build -j "$jobs" --target poibench

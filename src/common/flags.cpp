@@ -15,6 +15,22 @@ bool is_flag(const std::string& arg) {
   return arg.size() > 2 && arg.compare(0, 2, "--") == 0;
 }
 
+/// True when the whole of `text` parses as a T (no leading or trailing
+/// junk, no overflow).
+template <typename T>
+bool parse_whole(const std::string& text, T& value) {
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  return error == std::errc{} && end == text.data() + text.size();
+}
+
+std::invalid_argument bad_value(const std::string& name,
+                                const std::string& expected,
+                                const std::string& text) {
+  return std::invalid_argument("--" + name + " must be " + expected +
+                               ", got '" + text + "'");
+}
+
 }  // namespace
 
 Flags::Flags(int argc, const char* const* argv,
@@ -75,7 +91,11 @@ std::string Flags::get(const std::string& name,
 std::int64_t Flags::get(const std::string& name, std::int64_t fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::stoll(it->second);
+  std::int64_t value = 0;
+  if (!parse_whole(it->second, value)) {
+    throw bad_value(name, "an integer", it->second);
+  }
+  return value;
 }
 
 std::int64_t Flags::get_in_range(const std::string& name,
@@ -83,24 +103,25 @@ std::int64_t Flags::get_in_range(const std::string& name,
                                  std::int64_t max) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  const std::string& text = it->second;
   std::int64_t value = 0;
-  const auto [end, error] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  const bool parsed = error == std::errc{} && end == text.data() + text.size();
-  if (parsed && value >= min && value <= max) return value;
+  if (parse_whole(it->second, value) && value >= min && value <= max) {
+    return value;
+  }
   const std::string range =
       max == std::numeric_limits<std::int64_t>::max()
           ? ">= " + std::to_string(min)
           : "in [" + std::to_string(min) + ", " + std::to_string(max) + "]";
-  throw std::invalid_argument("--" + name + " must be an integer " + range +
-                              ", got '" + text + "'");
+  throw bad_value(name, "an integer " + range, it->second);
 }
 
 double Flags::get(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return std::stod(it->second);
+  double value = 0.0;
+  if (!parse_whole(it->second, value)) {
+    throw bad_value(name, "a number", it->second);
+  }
+  return value;
 }
 
 std::size_t Flags::apply_threads_flag() const {

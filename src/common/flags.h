@@ -23,6 +23,10 @@ class Flags {
 
   bool has(const std::string& name) const;
 
+  /// Typed getters return `fallback` when the flag is absent. The numeric
+  /// ones parse the whole value (base-10 integer, or a decimal/scientific
+  /// number) and throw std::invalid_argument naming the flag on anything
+  /// else — `--seed 42abc` is an error, not 42.
   std::string get(const std::string& name, const std::string& fallback) const;
   std::int64_t get(const std::string& name, std::int64_t fallback) const;
   double get(const std::string& name, double fallback) const;
@@ -54,9 +58,9 @@ class Flags {
 
   /// Reads `--metrics[=path]` and arms an at-exit JSON dump of the obs
   /// metrics registry (obs::dump_on_exit): bare `--metrics` dumps to
-  /// stderr, `--metrics=FILE` to FILE. Does nothing without the flag, and
-  /// dumps `{}` in a -DPOIPRIVACY_NO_METRICS build. Binaries that accept
-  /// the flag must list kMetricsFlag among their known flags.
+  /// stderr, `--metrics=FILE` to FILE. Does nothing without the flag.
+  /// Binaries that accept the flag must list kMetricsFlag among their
+  /// known flags.
   void apply_metrics_flag() const;
 
   static constexpr const char* kThreadsFlag = "threads";

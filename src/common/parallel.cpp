@@ -17,8 +17,7 @@ thread_local int tls_task_depth = 0;
 
 // Pool instrumentation (top-level batches only; nested inline submissions
 // are part of their enclosing task's time). queue_depth counts tasks not
-// yet claimed-and-finished in the current batch; with POIPRIVACY_NO_METRICS
-// every call below is an empty inline stub.
+// yet claimed-and-finished in the current batch.
 struct PoolMetrics {
   obs::Counter& batches;
   obs::Counter& tasks;

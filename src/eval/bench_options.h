@@ -10,9 +10,9 @@
 //   --threads N     evaluation threads (default hardware_concurrency;
 //                   1 restores the serial path; results are identical
 //                   for every value)
-//   --metrics[=F]   dump the obs metrics registry as JSON at exit —
-//                   to stderr, or to file F when given a value (no-op
-//                   in a -DPOIPRIVACY_NO_METRICS build)
+//   --metrics[=F]   dump the obs metrics registry (timings and pool
+//                   counters) as JSON at exit — to stderr, or to file F
+//                   when given a value
 //   --help          print the known-flag list and exit
 //
 // An unknown `--flag` prints an error naming the flag plus the usage text

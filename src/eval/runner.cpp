@@ -9,7 +9,7 @@ namespace poiprivacy::eval {
 namespace {
 
 // Whole-evaluation latency spans. Pure observation: stats flow through
-// ordered_reduce unchanged whether or not metrics are compiled in.
+// ordered_reduce unchanged whether or not the registry is ever scraped.
 struct EvalMetrics {
   obs::Histogram& attack_seconds;
   obs::Histogram& fine_grained_seconds;

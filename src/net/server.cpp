@@ -12,29 +12,8 @@
 #include <stdexcept>
 
 #include "net/frame.h"
-#include "obs/metrics.h"
 
 namespace poiprivacy::net {
-
-namespace {
-
-struct NetMetrics {
-  obs::Counter& connections;
-  obs::Counter& frames;
-  obs::Counter& protocol_errors;
-
-  static NetMetrics& get() {
-    obs::Registry& reg = obs::global_registry();
-    static NetMetrics* metrics = new NetMetrics{
-        reg.counter("net.connections_accepted"),
-        reg.counter("net.frames_served"),
-        reg.counter("net.protocol_errors"),
-    };
-    return *metrics;
-  }
-};
-
-}  // namespace
 
 ReleaseServer::ReleaseServer(service::ReleaseService& service,
                              ServerConfig config)
@@ -124,7 +103,6 @@ void ReleaseServer::accept_loop() {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    NetMetrics::get().connections.add(1);
     {
       const std::lock_guard<std::mutex> lock(mu_);
       if (closed_) {
@@ -160,7 +138,6 @@ void ReleaseServer::connection_loop() {
 }
 
 void ReleaseServer::serve_connection(int fd) {
-  NetMetrics& metrics = NetMetrics::get();
   std::vector<std::uint8_t> body;
   std::vector<std::uint8_t> reply;
   for (;;) {
@@ -172,7 +149,6 @@ void ReleaseServer::serve_connection(int fd) {
       case FrameIo::kTooLarge:
       case FrameIo::kError:
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        metrics.protocol_errors.add(1);
         return;
     }
     // Request kinds are disambiguated by body length (36 vs 25 bytes).
@@ -182,7 +158,6 @@ void ReleaseServer::serve_connection(int fd) {
           decode_stream_request(body);
       if (!request) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        metrics.protocol_errors.add(1);
         return;
       }
       result = service_->serve_stream(*request);
@@ -191,7 +166,6 @@ void ReleaseServer::serve_connection(int fd) {
           decode_request(body);
       if (!request) {
         protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-        metrics.protocol_errors.add(1);
         return;
       }
       result = service_->serve_concurrent(*request);
@@ -199,7 +173,6 @@ void ReleaseServer::serve_connection(int fd) {
     encode_response(result, reply);
     if (!write_frame(fd, reply)) return;
     frames_served_.fetch_add(1, std::memory_order_relaxed);
-    metrics.frames.add(1);
   }
 }
 

@@ -13,8 +13,6 @@
 
 namespace poiprivacy::obs {
 
-#ifndef POIPRIVACY_NO_METRICS
-
 namespace {
 
 /// Exact-percentile sample cap per histogram; see the header.
@@ -376,19 +374,5 @@ void dump_on_exit(const std::string& path) {
     }
   });
 }
-
-#else  // POIPRIVACY_NO_METRICS
-
-void Registry::render_json(eval::JsonWriter& json) {
-  json.begin_object();
-  json.end_object();
-}
-
-Registry& global_registry() {
-  static Registry* registry = new Registry;
-  return *registry;
-}
-
-#endif  // POIPRIVACY_NO_METRICS
 
 }  // namespace poiprivacy::obs

@@ -1,14 +1,18 @@
-// Observability layer: process-wide metrics for the serving, evaluation
-// and parallel subsystems.
+// Observability layer: process-wide timings for the serving, evaluation
+// and parallel subsystems, the thread pool's counters, and the Counter
+// type components use for their own per-instance counts.
 //
 // Three metric kinds, owned by a Registry and handed out as stable
-// references (find-or-create by dotted name, e.g. "service.requests"):
+// references (find-or-create by dotted name, e.g. "parallel.tasks"):
 //
 //   * Counter — monotone; increments go to one of 16 cache-line-padded
 //     relaxed-atomic cells selected by a per-thread slot, so hot-path
-//     `add()` never contends; `value()` sums the cells.
-//   * Gauge   — a last-write-wins relaxed-atomic level (queue depth,
-//     resident cache entries).
+//     `add()` never contends; `value()` sums the cells. Components that
+//     count their own events (ReleaseService, the anchor cache) hold
+//     Counters as plain members and report them through their stats
+//     structs, so each event is counted once, per instance.
+//   * Gauge   — a last-write-wins relaxed-atomic level (the pool's queue
+//     depth).
 //   * Histogram — log-bucketed (factor-2 buckets from 1 ns) distribution
 //     with count/sum/min/max, plus *exact* p50/p95/p99: every recorded
 //     value is also appended to a per-thread sample buffer, and at scrape
@@ -34,11 +38,6 @@
 // eval pipelines at --threads 1/2/8 with mid-run scrapes and asserting
 // bit-identical results.
 //
-// Compiling with -DPOIPRIVACY_NO_METRICS (CMake option of the same name)
-// replaces every type below with an empty-body stub, so all
-// instrumentation — including Span's clock reads — is removed at compile
-// time.
-//
 // Layering: this library sits *below* poi_common so that common/parallel
 // can be instrumented; it links only poi_json (eval/json.h, which has no
 // further dependencies).
@@ -61,12 +60,6 @@ class JsonWriter;
 
 namespace poiprivacy::obs {
 
-#ifndef POIPRIVACY_NO_METRICS
-inline constexpr bool kMetricsEnabled = true;
-#else
-inline constexpr bool kMetricsEnabled = false;
-#endif
-
 /// One histogram's scraped state. All fields are zero (never NaN) for a
 /// histogram that recorded nothing.
 struct HistogramSnapshot {
@@ -88,19 +81,16 @@ struct HistogramSnapshot {
   }
 };
 
-#ifndef POIPRIVACY_NO_METRICS
-
 class Registry;
 
 class Counter {
  public:
+  Counter() = default;
+
   void add(std::uint64_t n = 1) noexcept;
   std::uint64_t value() const noexcept;
 
  private:
-  friend class Registry;
-  Counter() = default;
-
   static constexpr std::size_t kCells = 16;
   struct alignas(64) Cell {
     std::atomic<std::uint64_t> v{0};
@@ -240,56 +230,5 @@ Registry& global_registry();
 /// JSON — to stderr when `path` is empty, else to the file at `path`.
 /// Subsequent calls just update the path.
 void dump_on_exit(const std::string& path);
-
-#else  // POIPRIVACY_NO_METRICS — same API, empty bodies, zero overhead.
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) noexcept {}
-  std::uint64_t value() const noexcept { return 0; }
-};
-
-class Gauge {
- public:
-  void set(std::int64_t) noexcept {}
-  void add(std::int64_t) noexcept {}
-  std::int64_t value() const noexcept { return 0; }
-};
-
-class Histogram {
- public:
-  void record(double) noexcept {}
-  HistogramSnapshot snapshot() { return {}; }
-  std::uint64_t count() const noexcept { return 0; }
-};
-
-class Span {
- public:
-  explicit Span(Histogram&) noexcept {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  void stop() noexcept {}
-};
-
-class Registry {
- public:
-  Counter& counter(const std::string&) { return counter_; }
-  Gauge& gauge(const std::string&) { return gauge_; }
-  Histogram& histogram(const std::string&) { return histogram_; }
-  std::size_t size() const { return 0; }
-  std::string table() { return "(metrics compiled out)\n"; }
-  void render_json(eval::JsonWriter& json);
-  std::string json() { return "{}"; }
-
- private:
-  Counter counter_;
-  Gauge gauge_;
-  Histogram histogram_;
-};
-
-Registry& global_registry();
-inline void dump_on_exit(const std::string&) {}
-
-#endif  // POIPRIVACY_NO_METRICS
 
 }  // namespace poiprivacy::obs

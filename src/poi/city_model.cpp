@@ -65,15 +65,6 @@ std::vector<double> zipf_profile(std::size_t num_types, std::size_t total,
   return raw;
 }
 
-std::size_t rare_count(const std::vector<double>& profile,
-                       std::int32_t cutoff) {
-  std::size_t n = 0;
-  for (const double v : profile) {
-    if (std::llround(v) <= cutoff) ++n;
-  }
-  return n;
-}
-
 }  // namespace
 
 std::vector<std::int32_t> calibrated_type_counts(std::size_t num_types,

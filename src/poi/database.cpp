@@ -1,7 +1,6 @@
 #include "poi/database.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <bit>
 #include <cassert>
@@ -14,36 +13,6 @@
 #include "obs/metrics.h"
 
 namespace poiprivacy::poi {
-
-namespace {
-
-// Registry mirrors of the anchor-cache counters; process-wide, shared
-// across PoiDatabase instances. Observation only — anchor_cache_stats()
-// keeps reading the cache's own cells.
-struct AnchorMetrics {
-  obs::Counter& hits;
-  obs::Counter& misses;
-
-  static AnchorMetrics& get() {
-    static AnchorMetrics* metrics = new AnchorMetrics{
-        obs::global_registry().counter("poi.anchor_cache.hits"),
-        obs::global_registry().counter("poi.anchor_cache.misses"),
-    };
-    return *metrics;
-  }
-};
-
-constexpr std::size_t kCountCells = 16;
-
-// Per-thread stripe of the hit/miss cells (the obs::Counter scheme).
-std::size_t count_cell() noexcept {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t cell =
-      next.fetch_add(1, std::memory_order_relaxed) % kCountCells;
-  return cell;
-}
-
-}  // namespace
 
 // Anchor aggregates and type blocks in one dense slot table per distinct
 // radius (keyed by the radius's bit pattern): |POIs| atomic pointers
@@ -76,11 +45,6 @@ struct PoiDatabase::AnchorCache {
     mutable std::vector<BlockSlot> blocks;  ///< by type id; null until built
   };
 
-  struct alignas(64) CountCell {
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> misses{0};
-  };
-
   AnchorCache(std::size_t num_pois, std::size_t num_types)
       : num_pois(num_pois), num_types(num_types) {}
 
@@ -109,7 +73,7 @@ struct PoiDatabase::AnchorCache {
   template <typename T, typename Compute>
   const T& get_or_compute(std::atomic<const T*>& slot, Compute&& compute) {
     if (const T* hit = slot.load(std::memory_order_acquire)) {
-      count_hit();
+      hits.add(1);
       return *hit;
     }
     std::unique_ptr<T> computed = compute();
@@ -117,20 +81,11 @@ struct PoiDatabase::AnchorCache {
     if (slot.compare_exchange_strong(expected, computed.get(),
                                      std::memory_order_release,
                                      std::memory_order_acquire)) {
-      count_miss();
+      misses.add(1);
       return *computed.release();
     }
-    count_hit();
+    hits.add(1);
     return *expected;
-  }
-
-  void count_hit() noexcept {
-    cells[count_cell()].hits.fetch_add(1, std::memory_order_relaxed);
-    AnchorMetrics::get().hits.add(1);
-  }
-  void count_miss() noexcept {
-    cells[count_cell()].misses.fetch_add(1, std::memory_order_relaxed);
-    AnchorMetrics::get().misses.add(1);
   }
 
   const std::size_t num_pois;
@@ -138,7 +93,8 @@ struct PoiDatabase::AnchorCache {
   std::atomic<const Table*> head{nullptr};
   std::mutex add_mu;
   std::vector<std::unique_ptr<Table>> tables;  ///< owns the list; add_mu
-  std::array<CountCell, kCountCells> cells;
+  obs::Counter hits;
+  obs::Counter misses;
 };
 
 // Lazily built tile aggregates; the once_flag lives on the heap so the
@@ -253,10 +209,8 @@ const TypeBlock& PoiDatabase::type_block(TypeId type, double radius) const {
 
 AnchorCacheStats PoiDatabase::anchor_cache_stats() const noexcept {
   AnchorCacheStats stats;
-  for (const AnchorCache::CountCell& cell : anchor_cache_->cells) {
-    stats.hits += cell.hits.load(std::memory_order_relaxed);
-    stats.misses += cell.misses.load(std::memory_order_relaxed);
-  }
+  stats.hits = anchor_cache_->hits.value();
+  stats.misses = anchor_cache_->misses.value();
   return stats;
 }
 

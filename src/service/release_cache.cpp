@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
-#include <string>
 
 namespace poiprivacy::service {
 
@@ -47,23 +45,6 @@ ReleaseCache::ReleaseCache(ReleaseCacheConfig config) : config_(config) {
   config_.shards = n;
   shard_capacity_ = (config_.capacity + n - 1) / n;
   shards_ = std::vector<Shard>(n);
-  // Per-shard registry counters; shardNN names are shared across cache
-  // instances (and with POIPRIVACY_NO_METRICS all handles are the same
-  // no-op stub).
-  obs::Registry& registry = obs::global_registry();
-  shard_metrics_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    char name[48];
-    std::snprintf(name, sizeof name, "release_cache.shard%02zu", i);
-    const std::string prefix(name);
-    shard_metrics_[i].hits = &registry.counter(prefix + ".hits");
-    shard_metrics_[i].misses = &registry.counter(prefix + ".misses");
-    shard_metrics_[i].evictions_lru =
-        &registry.counter(prefix + ".evictions_lru");
-    shard_metrics_[i].evictions_ttl =
-        &registry.counter(prefix + ".evictions_ttl");
-  }
-  entries_gauge_ = &registry.gauge("release_cache.entries");
 }
 
 ReleaseCache::Shard& ReleaseCache::shard_for(
@@ -73,22 +54,19 @@ ReleaseCache::Shard& ReleaseCache::shard_for(
 
 std::shared_ptr<const CloakAggregate> ReleaseCache::get(
     const ReleaseCacheKey& key) {
-  const std::size_t idx = hash(key) % shards_.size();
-  Shard& shard = shards_[idx];
+  Shard& shard = shard_for(key);
   const std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.index.find(key);
   if (it == shard.index.end()) return nullptr;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   it->second->touch_epoch = epoch_.load(std::memory_order_relaxed);
   ++shard.hits;
-  shard_metrics_[idx].hits->add(1);
   return it->second->value;
 }
 
 void ReleaseCache::put(const ReleaseCacheKey& key,
                        std::shared_ptr<const CloakAggregate> value) {
-  const std::size_t idx = hash(key) % shards_.size();
-  Shard& shard = shards_[idx];
+  Shard& shard = shard_for(key);
   const std::lock_guard<std::mutex> lock(shard.mu);
   const std::uint64_t now = epoch_.load(std::memory_order_relaxed);
   if (const auto it = shard.index.find(key); it != shard.index.end()) {
@@ -98,16 +76,12 @@ void ReleaseCache::put(const ReleaseCacheKey& key,
     return;
   }
   ++shard.misses;
-  shard_metrics_[idx].misses->add(1);
-  entries_gauge_->add(1);
   shard.lru.push_front({key, std::move(value), now});
   shard.index.emplace(key, shard.lru.begin());
   if (shard.lru.size() > shard_capacity_) {
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();
     ++shard.evictions_lru;
-    shard_metrics_[idx].evictions_lru->add(1);
-    entries_gauge_->add(-1);
   }
 }
 
@@ -123,8 +97,7 @@ std::size_t ReleaseCache::evict_expired() {
   if (config_.ttl_epochs == 0) return 0;
   const std::uint64_t now = epoch_.load(std::memory_order_relaxed);
   std::size_t evicted = 0;
-  for (std::size_t idx = 0; idx < shards_.size(); ++idx) {
-    Shard& shard = shards_[idx];
+  for (Shard& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard.mu);
     // Recency order implies stamp order, so the expired entries are
     // exactly a suffix of the LRU list: pop from the tail until fresh.
@@ -133,8 +106,6 @@ std::size_t ReleaseCache::evict_expired() {
       shard.index.erase(shard.lru.back().key);
       shard.lru.pop_back();
       ++shard.evictions_ttl;
-      shard_metrics_[idx].evictions_ttl->add(1);
-      entries_gauge_->add(-1);
       ++evicted;
     }
   }

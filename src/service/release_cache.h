@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "geo/geometry.h"
-#include "obs/metrics.h"
 #include "poi/poi.h"
 
 namespace poiprivacy::service {
@@ -175,24 +174,11 @@ class ReleaseCache {
     std::uint64_t evictions_ttl = 0;
   };
 
-  /// Registry mirrors of one shard's counters ("release_cache.shardNN.*",
-  /// shared across every cache instance with that shard index) plus the
-  /// process-wide residency gauge. Observation only — the deterministic
-  /// source of truth stays in Shard.
-  struct ShardMetrics {
-    obs::Counter* hits = nullptr;
-    obs::Counter* misses = nullptr;
-    obs::Counter* evictions_lru = nullptr;
-    obs::Counter* evictions_ttl = nullptr;
-  };
-
   Shard& shard_for(const ReleaseCacheKey& key) const;
 
   ReleaseCacheConfig config_;
   std::size_t shard_capacity_;
   mutable std::vector<Shard> shards_;
-  std::vector<ShardMetrics> shard_metrics_;
-  obs::Gauge* entries_gauge_ = nullptr;
   std::atomic<std::uint64_t> epoch_{0};
 };
 

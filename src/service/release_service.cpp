@@ -38,20 +38,11 @@ struct KeyHash {
   }
 };
 
-/// Registry mirrors of the deterministic ServiceStats counters plus the
-/// per-phase wall-clock of the 6-phase batch pipeline. Observation only:
-/// nothing here feeds back into admission, caching, or released vectors
-/// (tests/obs_determinism_test.cpp), and POIPRIVACY_NO_METRICS compiles
-/// every call into an empty stub.
+/// Process-wide wall-clock of the 6-phase batch pipeline, per batch and
+/// per phase. Observation only: nothing here feeds back into admission,
+/// caching, or released vectors (tests/obs_determinism_test.cpp). The
+/// event counts live per instance in ReleaseService::Counters.
 struct ServiceMetrics {
-  obs::Counter& requests;
-  obs::Counter& granted;
-  obs::Counter& degraded;
-  obs::Counter& budget_exhausted;
-  obs::Counter& invalid;
-  obs::Counter& cache_hits;
-  obs::Counter& cache_misses;
-  obs::Counter& batches;
   obs::Histogram& batch_seconds;
   obs::Histogram& admission_seconds;
   obs::Histogram& cloak_seconds;
@@ -63,14 +54,6 @@ struct ServiceMetrics {
   static ServiceMetrics& get() {
     obs::Registry& reg = obs::global_registry();
     static ServiceMetrics* metrics = new ServiceMetrics{
-        reg.counter("service.requests"),
-        reg.counter("service.granted"),
-        reg.counter("service.degraded"),
-        reg.counter("service.budget_exhausted"),
-        reg.counter("service.invalid"),
-        reg.counter("service.cache_hits"),
-        reg.counter("service.cache_misses"),
-        reg.counter("service.batches"),
         reg.histogram("service.batch_seconds"),
         reg.histogram("service.phase.admission_seconds"),
         reg.histogram("service.phase.cloak_seconds"),
@@ -111,6 +94,20 @@ std::uint64_t ServiceStats::count(ReleaseStatus status) const noexcept {
       return invalid;
   }
   return 0;
+}
+
+obs::Counter& ReleaseService::Counters::of(ReleaseStatus status) noexcept {
+  switch (status) {
+    case ReleaseStatus::kGranted:
+      return granted;
+    case ReleaseStatus::kDegraded:
+      return degraded;
+    case ReleaseStatus::kBudgetExhausted:
+      return budget_exhausted;
+    case ReleaseStatus::kInvalidRequest:
+      break;
+  }
+  return invalid;
 }
 
 ReleaseService::ReleaseService(const poi::PoiDatabase& db,
@@ -193,16 +190,16 @@ void ReleaseService::advance_epoch(std::uint64_t ticks) {
   cache_.evict_expired();
 }
 
-ServiceStats ReleaseService::concurrent_stats() const {
+ServiceStats ReleaseService::stats() const {
   ServiceStats out;
-  out.requests = concurrent_.requests.load(std::memory_order_relaxed);
-  out.granted = concurrent_.granted.load(std::memory_order_relaxed);
-  out.degraded = concurrent_.degraded.load(std::memory_order_relaxed);
-  out.budget_exhausted =
-      concurrent_.budget_exhausted.load(std::memory_order_relaxed);
-  out.invalid = concurrent_.invalid.load(std::memory_order_relaxed);
-  out.cache_hits = concurrent_.cache_hits.load(std::memory_order_relaxed);
-  out.cache_misses = concurrent_.cache_misses.load(std::memory_order_relaxed);
+  out.requests = counters_.requests.value();
+  out.granted = counters_.granted.value();
+  out.degraded = counters_.degraded.value();
+  out.budget_exhausted = counters_.budget_exhausted.value();
+  out.invalid = counters_.invalid.value();
+  out.cache_hits = counters_.cache_hits.value();
+  out.cache_misses = counters_.cache_misses.value();
+  out.batches = counters_.batches.value();
   out.users = sessions_.stats().sessions_created;
   return out;
 }
@@ -255,42 +252,25 @@ void ReleaseService::serve_batch(std::span<const ReleaseRequest> requests,
   // fold over each user's history; the served policy is charged here so
   // later same-user requests in this batch see the updated budget.
   obs::Span admission_span(metrics.admission_seconds);
+  counters_.requests.add(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
     const ReleaseRequest& request = requests[i];
     ReleaseResult& out = results[base + i];
     const std::uint64_t noise_index =
         next_request_index_.fetch_add(1, std::memory_order_relaxed);
-    ++stats_.requests;
-    metrics.requests.add(1);
     if (!well_formed(request, config_.policies.size())) {
       out.status = ReleaseStatus::kInvalidRequest;
       out.spent = {0.0, 0.0};
-      ++stats_.invalid;
-      metrics.invalid.add(1);
+      counters_.invalid.add(1);
       continue;
     }
-    const bool known = sessions_.contains(request.user_id);
     PolicyId served = request.policy;
     const ReleaseStatus status = admit(request.user_id, request.policy, served);
-    // try_charge claims the session even when it refuses on budget, so a
-    // first contact counts as a user unless the table was full.
-    if (!known && sessions_.contains(request.user_id)) ++stats_.users;
     out.spent = sessions_.spent(request.user_id);
-    if (status == ReleaseStatus::kBudgetExhausted) {
-      out.status = status;
-      ++stats_.budget_exhausted;
-      metrics.budget_exhausted.add(1);
-      continue;
-    }
     out.status = status;
+    counters_.of(status).add(1);
+    if (status == ReleaseStatus::kBudgetExhausted) continue;
     out.served_policy = served;
-    if (status == ReleaseStatus::kGranted) {
-      ++stats_.granted;
-      metrics.granted.add(1);
-    } else {
-      ++stats_.degraded;
-      metrics.degraded.add(1);
-    }
     Admitted a;
     a.index = i;
     a.policy = served;
@@ -329,23 +309,20 @@ void ReleaseService::serve_batch(std::span<const ReleaseRequest> requests,
     if (auto hit = cache_.get(a.key)) {
       a.aggregate = std::move(hit);
       a.cache_hit = true;
-      ++stats_.cache_hits;
-      metrics.cache_hits.add(1);
       continue;
     }
     if (const auto it = pending.find(a.key); it != pending.end()) {
       a.missing_slot = it->second;
       a.cache_hit = true;
-      ++stats_.cache_hits;
-      metrics.cache_hits.add(1);
       continue;
     }
     a.missing_slot = missing.size();
     pending.emplace(a.key, missing.size());
     missing.push_back(a.key);
-    ++stats_.cache_misses;
-    metrics.cache_misses.add(1);
   }
+  // Every admitted request either hit or opened one missing slot.
+  counters_.cache_hits.add(admitted.size() - missing.size());
+  counters_.cache_misses.add(missing.size());
   probe_span.stop();
 
   // Phase D — compute the missing aggregates (parallel, the expensive
@@ -384,8 +361,7 @@ void ReleaseService::serve_batch(std::span<const ReleaseRequest> requests,
       });
   noise_span.stop();
 
-  ++stats_.batches;
-  metrics.batches.add(1);
+  counters_.batches.add(1);
   batch_sizes_.push_back(requests.size());
   batch_seconds_.push_back(timer.seconds());
 }
@@ -422,14 +398,12 @@ ReleaseResult ReleaseService::serve_one(const ReleaseRequest& request) {
 }
 
 ReleaseResult ReleaseService::serve_stream(const StreamRequest& request) {
-  ServiceMetrics& metrics = ServiceMetrics::get();
   ReleaseResult out;
   // Arrival order assigns the noise substream, exactly like
   // serve_concurrent: a sequential caller is fully reproducible.
   const std::uint64_t noise_index =
       next_request_index_.fetch_add(1, std::memory_order_relaxed);
-  concurrent_.requests.fetch_add(1, std::memory_order_relaxed);
-  metrics.requests.add(1);
+  counters_.requests.add(1);
   const StreamSource* source = stream_source_;
   const std::size_t windows =
       source == nullptr ? 0
@@ -441,8 +415,7 @@ ReleaseResult ReleaseService::serve_stream(const StreamRequest& request) {
       request.begin_epoch >= request.end_epoch || windows == 0) {
     out.status = ReleaseStatus::kInvalidRequest;
     out.spent = {0.0, 0.0};
-    concurrent_.invalid.fetch_add(1, std::memory_order_relaxed);
-    metrics.invalid.add(1);
+    counters_.invalid.add(1);
     return out;
   }
   // One admission charge covers the whole block: W windows, each a
@@ -465,14 +438,12 @@ ReleaseResult ReleaseService::serve_stream(const StreamRequest& request) {
     // A full table refuses fail-closed, indistinguishable from an
     // exhausted budget on the wire.
     out.status = ReleaseStatus::kBudgetExhausted;
-    concurrent_.budget_exhausted.fetch_add(1, std::memory_order_relaxed);
-    metrics.budget_exhausted.add(1);
+    counters_.budget_exhausted.add(1);
     return out;
   }
   out.status = ReleaseStatus::kGranted;
   out.served_policy = request.policy;
-  concurrent_.granted.fetch_add(1, std::memory_order_relaxed);
-  metrics.granted.add(1);
+  counters_.granted.add(1);
   // The raw block is policy-independent (noise is per-request), so all
   // policies share one kind-1 cache entry per window range.
   ReleaseCacheKey key;
@@ -482,8 +453,7 @@ ReleaseResult ReleaseService::serve_stream(const StreamRequest& request) {
   std::shared_ptr<const CloakAggregate> block = cache_.get(key);
   if (block) {
     out.cache_hit = true;
-    concurrent_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    metrics.cache_hits.add(1);
+    counters_.cache_hits.add(1);
   } else {
     auto computed = std::make_shared<CloakAggregate>();
     source->release_raw(request.begin_epoch, request.end_epoch,
@@ -492,8 +462,7 @@ ReleaseResult ReleaseService::serve_stream(const StreamRequest& request) {
     computed->k = source->num_series();
     block = std::move(computed);
     cache_.put(key, block);
-    concurrent_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    metrics.cache_misses.add(1);
+    counters_.cache_misses.add(1);
   }
   // Per-request noise: one Laplace draw per window for the requested
   // series, window-ascending (mirrors mia/stream_release: rounded,
@@ -514,39 +483,26 @@ ReleaseResult ReleaseService::serve_stream(const StreamRequest& request) {
 }
 
 ReleaseResult ReleaseService::serve_concurrent(const ReleaseRequest& request) {
-  ServiceMetrics& metrics = ServiceMetrics::get();
   ReleaseResult out;
   // The arrival order that wins this fetch_add IS the request's identity
   // for noise purposes — a sequential caller reproduces the batch path's
   // substream assignment exactly.
   const std::uint64_t noise_index =
       next_request_index_.fetch_add(1, std::memory_order_relaxed);
-  concurrent_.requests.fetch_add(1, std::memory_order_relaxed);
-  metrics.requests.add(1);
+  counters_.requests.add(1);
   if (!well_formed(request, config_.policies.size())) {
     out.status = ReleaseStatus::kInvalidRequest;
     out.spent = {0.0, 0.0};
-    concurrent_.invalid.fetch_add(1, std::memory_order_relaxed);
-    metrics.invalid.add(1);
+    counters_.invalid.add(1);
     return out;
   }
   PolicyId served = request.policy;
   const ReleaseStatus status = admit(request.user_id, request.policy, served);
   out.spent = sessions_.spent(request.user_id);
   out.status = status;
-  if (status == ReleaseStatus::kBudgetExhausted) {
-    concurrent_.budget_exhausted.fetch_add(1, std::memory_order_relaxed);
-    metrics.budget_exhausted.add(1);
-    return out;
-  }
+  counters_.of(status).add(1);
+  if (status == ReleaseStatus::kBudgetExhausted) return out;
   out.served_policy = served;
-  if (status == ReleaseStatus::kGranted) {
-    concurrent_.granted.fetch_add(1, std::memory_order_relaxed);
-    metrics.granted.add(1);
-  } else {
-    concurrent_.degraded.fetch_add(1, std::memory_order_relaxed);
-    metrics.degraded.add(1);
-  }
   ReleaseCacheKey key;
   key.region =
       cloaker_->cloak(request.location, config_.policies[served].release.k)
@@ -556,15 +512,13 @@ ReleaseResult ReleaseService::serve_concurrent(const ReleaseRequest& request) {
   std::shared_ptr<const CloakAggregate> aggregate = cache_.get(key);
   if (aggregate) {
     out.cache_hit = true;
-    concurrent_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    metrics.cache_hits.add(1);
+    counters_.cache_hits.add(1);
   } else {
     // No cross-thread coalescing here: two threads cold-probing one key
     // both compute, and the later put refreshes the (identical) entry.
     aggregate = std::make_shared<const CloakAggregate>(compute_aggregate(key));
     cache_.put(key, aggregate);
-    concurrent_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    metrics.cache_misses.add(1);
+    counters_.cache_misses.add(1);
   }
   common::Rng rng = noise_base_.substream(noise_index);
   out.vector =

@@ -39,9 +39,9 @@
 // order that assigns noise indices) but runs admission lock-free, so a
 // single connection issuing requests sequentially reproduces the batch
 // path bit-for-bit while concurrent connections remain merely
-// linearizable. The two paths share the session table and cache but
-// keep separate stats (stats() vs concurrent_stats()); interleaving
-// them forfeits the batch path's replay determinism, nothing else.
+// linearizable. The paths share the session table, the cache and one
+// set of counters (stats() reports all of them); interleaving them
+// forfeits the batch path's replay determinism, nothing else.
 //
 // Eviction and renewal: advance_epoch() ticks the session table's and
 // the cache's logical clocks, runs their sweeps, and renews windowed
@@ -77,6 +77,7 @@
 
 #include "cloak/kcloak.h"
 #include "defense/opt_defense.h"
+#include "obs/metrics.h"
 #include "service/release_cache.h"
 #include "service/session_table.h"
 #include "service/stream_source.h"
@@ -175,8 +176,10 @@ struct ServiceConfig {
   std::uint64_t seed = 1234;
 };
 
-/// Deterministic service counters (every batch-path field bit-identical
-/// for any thread count). Cache hits/misses are the *effective* ones — a
+/// A snapshot of one service's counters over every serving path (batch,
+/// serve_concurrent, serve_stream). Exact when read quiescently; traffic
+/// driven only through the batch path leaves every field bit-identical
+/// for any thread count. Cache hits/misses are the *effective* ones — a
 /// request whose key another request in the same batch is already
 /// computing counts as a hit; misses therefore equal aggregates actually
 /// computed.
@@ -188,8 +191,8 @@ struct ServiceStats {
   std::uint64_t invalid = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t users = 0;  ///< sessions created so far
+  std::uint64_t batches = 0;  ///< batch-path drains only
+  std::uint64_t users = 0;    ///< sessions created so far
 
   std::uint64_t count(ReleaseStatus status) const noexcept;
   double cache_hit_rate() const noexcept {
@@ -229,13 +232,13 @@ class ReleaseService {
 
   /// Thread-safe per-request path for the socket front-end: lock-free
   /// admission, shared cache, per-arrival noise substreams. Safe to call
-  /// from many threads at once; counts into concurrent_stats(). No batch
+  /// from many threads at once; counts into stats(). No batch
   /// coalescing — concurrent cold probes of one key may compute the
   /// (identical, key-pure) aggregate more than once.
   ReleaseResult serve_concurrent(const ReleaseRequest& request);
 
   /// Serves one continual-release stream request (thread-safe, counts
-  /// into concurrent_stats()). Requires an attached StreamSource;
+  /// into stats()). Requires an attached StreamSource;
   /// without one every stream request is kInvalidRequest. The released
   /// vector holds num_windows noised counts for the requested series.
   ReleaseResult serve_stream(const StreamRequest& request);
@@ -257,10 +260,7 @@ class ReleaseService {
   /// drives it (batch boundaries, a wall-clock ticker, ...).
   void advance_epoch(std::uint64_t ticks = 1);
 
-  const ServiceStats& stats() const noexcept { return stats_; }
-  /// Counters of the serve_concurrent path (atomic snapshot; `users`
-  /// reports table sessions created, `batches` is always 0).
-  ServiceStats concurrent_stats() const;
+  ServiceStats stats() const;
   /// Raw cache counters (insertions/evictions/residency). The service
   /// stats' hits/misses are the effective per-request ones.
   ReleaseCacheStats cache_stats() const { return cache_.stats(); }
@@ -290,14 +290,18 @@ class ReleaseService {
 
  private:
   struct Admitted;
-  struct ConcurrentCounters {
-    std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::uint64_t> granted{0};
-    std::atomic<std::uint64_t> degraded{0};
-    std::atomic<std::uint64_t> budget_exhausted{0};
-    std::atomic<std::uint64_t> invalid{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> cache_misses{0};
+  /// The one source of stats(): every serving path counts here.
+  struct Counters {
+    obs::Counter requests;
+    obs::Counter granted;
+    obs::Counter degraded;
+    obs::Counter budget_exhausted;
+    obs::Counter invalid;
+    obs::Counter cache_hits;
+    obs::Counter cache_misses;
+    obs::Counter batches;
+
+    obs::Counter& of(ReleaseStatus status) noexcept;
   };
 
   /// The admission decision shared by both serving paths: try the
@@ -323,8 +327,7 @@ class ReleaseService {
   SessionTable sessions_;
   std::deque<ReleaseRequest> queue_;
   std::vector<ReleaseResult> collected_;
-  ServiceStats stats_;
-  ConcurrentCounters concurrent_;
+  Counters counters_;
   std::vector<double> batch_seconds_;
   std::vector<std::size_t> batch_sizes_;
   std::atomic<std::uint64_t> next_request_index_{0};  ///< noise substreams

@@ -39,11 +39,6 @@ SessionTable::SessionTable(SessionTableConfig config)
   for (Shard& shard : shards_) {
     shard.slots = std::vector<Slot>(slots);
   }
-  obs::Registry& registry = obs::global_registry();
-  evictions_counter_ = &registry.counter("session_table.evictions_ttl");
-  renewals_counter_ = &registry.counter("session_table.renewals");
-  full_refusals_counter_ = &registry.counter("session_table.full_refusals");
-  sessions_gauge_ = &registry.gauge("session_table.sessions");
 }
 
 std::size_t SessionTable::shard_of(UserId user) const noexcept {
@@ -95,7 +90,6 @@ SessionTable::Slot* SessionTable::find_or_claim_locked(Shard& shard,
   claimable->uid.store(user, std::memory_order_release);
   shard.resident.fetch_add(1, std::memory_order_relaxed);
   ++shard.created;
-  sessions_gauge_->add(1);
   return claimable;
 }
 
@@ -109,7 +103,6 @@ ChargeOutcome SessionTable::try_charge(UserId user, dp::FixedBudget cost) {
     slot = find_or_claim_locked(shard, user);
     if (slot == nullptr) {
       shard.full_refusals.fetch_add(1, std::memory_order_relaxed);
-      full_refusals_counter_->add(1);
       return ChargeOutcome::kTableFull;
     }
   }
@@ -171,10 +164,6 @@ std::size_t SessionTable::sweep() {
       ++evicted;
     }
   }
-  if (evicted > 0) {
-    evictions_counter_->add(evicted);
-    sessions_gauge_->add(-static_cast<std::int64_t>(evicted));
-  }
   return evicted;
 }
 
@@ -194,7 +183,6 @@ std::size_t SessionTable::renew_windows() {
       ++renewed;
     }
   }
-  if (renewed > 0) renewals_counter_->add(renewed);
   return renewed;
 }
 

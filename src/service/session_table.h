@@ -56,12 +56,12 @@
 // when sweep() runs concurrently with traffic.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <vector>
 
 #include "dp/budget.h"
-#include "obs/metrics.h"
 
 namespace poiprivacy::service {
 
@@ -183,10 +183,6 @@ class SessionTable {
   mutable std::vector<Shard> shards_;
   std::atomic<std::uint64_t> epoch_{0};
   std::uint64_t last_renew_window_ = 0;  ///< owner-driven, like sweep()
-  obs::Counter* evictions_counter_ = nullptr;
-  obs::Counter* renewals_counter_ = nullptr;
-  obs::Counter* full_refusals_counter_ = nullptr;
-  obs::Gauge* sessions_gauge_ = nullptr;
 };
 
 }  // namespace poiprivacy::service

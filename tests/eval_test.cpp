@@ -106,6 +106,10 @@ TEST(Runner, AttackStatsExposeAnchorCacheTraffic) {
   // some of them are first-time misses.
   EXPECT_GT(first.cache_hits + first.cache_misses, 0u);
   EXPECT_GT(first.cache_misses, 0u);
+  // The counts are the database's own: on a fresh workbench the first
+  // pass is all the anchor-cache traffic there is.
+  const poi::AnchorCacheStats cache = db.anchor_cache_stats();
+  EXPECT_EQ(first.cache_hits + first.cache_misses, cache.hits + cache.misses);
   // Re-running the identical evaluation touches only warm entries: the
   // second pass is all hits, and its total traffic matches the first.
   const AttackStats second =

@@ -4,11 +4,12 @@
 // extra flags and the common set keep parsing. The underlying
 // common::Flags throwing behavior is pinned by common_test; this suite
 // covers the eval::BenchOptions exit-code layer every scenario goes
-// through, and the ranged integer getter the serving daemon validates
-// its flags with.
+// through, the ranged integer getter the serving daemon validates its
+// flags with, and the whole-value parse of the plain numeric getters.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
 #include "common/flags.h"
 #include "eval/bench_options.h"
@@ -98,6 +99,42 @@ TEST(FlagsInRange, NonIntegerThrows) {
                std::invalid_argument);
   EXPECT_THROW(flags.get_in_range("port", 0, 0, 65535),
                std::invalid_argument);
+}
+
+// The plain numeric getters parse the whole value: trailing junk and
+// non-numbers throw naming the flag instead of being truncated or
+// escaping as a bare stoll/stod error.
+TEST(FlagsNumeric, RejectsPartialAndNonNumericValues) {
+  const char* argv[] = {"prog",    "--seed", "42abc", "--workers", "banana",
+                        "--count", "1.5",    "--eps", "0.5x"};
+  const common::Flags flags(9, argv, {"seed", "workers", "count", "eps"});
+  const auto expect_named = [](const auto& get, const std::string& flag) {
+    try {
+      get();
+      FAIL() << flag << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_named([&] { flags.get("seed", std::int64_t{0}); }, "--seed");
+  expect_named([&] { flags.get("workers", std::int64_t{0}); }, "--workers");
+  expect_named([&] { flags.get("count", std::int64_t{0}); }, "--count");
+  expect_named([&] { flags.get("eps", 0.0); }, "--eps");
+  expect_named([&] { flags.get("workers", 0.0); }, "--workers");
+}
+
+TEST(FlagsNumeric, ValidValuesParse) {
+  const char* argv[] = {"prog", "--seed", "-7", "--eps=-0.25", "--r", "1e-3",
+                        "--count", "12"};
+  const common::Flags flags(8, argv, {"seed", "eps", "r", "count"});
+  EXPECT_EQ(flags.get("seed", std::int64_t{0}), -7);
+  EXPECT_EQ(flags.get("eps", 0.0), -0.25);
+  EXPECT_EQ(flags.get("r", 0.0), 1e-3);
+  EXPECT_EQ(flags.get("count", 0.0), 12.0);
+  EXPECT_EQ(flags.get("count", std::int64_t{0}), 12);
+  EXPECT_EQ(flags.get("absent", std::int64_t{5}), 5);
+  EXPECT_EQ(flags.get("absent", 2.5), 2.5);
 }
 
 }  // namespace

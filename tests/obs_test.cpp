@@ -3,9 +3,6 @@
 // exact percentiles agree with common::percentiles, the per-thread sample
 // cap keeps exactly the samples the uncapped merge would keep, and the
 // registry hands out stable handles and renders in registration order.
-//
-// Behavioural assertions are gated on obs::kMetricsEnabled so this suite
-// still compiles (and trivially passes) in a -DPOIPRIVACY_NO_METRICS tree.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,7 +23,6 @@ namespace poiprivacy {
 namespace {
 
 TEST(Counter, SumsAcrossThreads) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Counter& counter = registry.counter("c");
   constexpr std::size_t kThreads = 8;
@@ -43,8 +39,22 @@ TEST(Counter, SumsAcrossThreads) {
   EXPECT_EQ(counter.value(), kThreads * kPerThread + 5);
 }
 
+// A component owns its counters as plain members, outside any registry.
+TEST(Counter, WorksAsAPlainMember) {
+  struct Owner {
+    obs::Counter hits;
+    obs::Counter misses;
+  } owner;
+  EXPECT_EQ(owner.hits.value(), 0u);
+  std::thread other([&owner] { owner.hits.add(3); });
+  owner.hits.add(2);
+  other.join();
+  owner.misses.add();
+  EXPECT_EQ(owner.hits.value(), 5u);
+  EXPECT_EQ(owner.misses.value(), 1u);
+}
+
 TEST(Gauge, SetAddValue) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Gauge& gauge = registry.gauge("g");
   EXPECT_EQ(gauge.value(), 0);
@@ -72,7 +82,6 @@ TEST(Histogram, EmptySnapshotIsAllZeroNoNaN) {
 }
 
 TEST(Histogram, SingleValue) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
   hist.record(2.5);
@@ -88,7 +97,6 @@ TEST(Histogram, SingleValue) {
 }
 
 TEST(Histogram, AllEqualValues) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
   for (int i = 0; i < 100; ++i) hist.record(3.0);
@@ -106,7 +114,6 @@ TEST(Histogram, AllEqualValues) {
 }
 
 TEST(Histogram, ZeroAndNegativeValuesLandInUnderflowBucket) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
   hist.record(0.0);
@@ -121,7 +128,6 @@ TEST(Histogram, ZeroAndNegativeValuesLandInUnderflowBucket) {
 }
 
 TEST(Histogram, ExactPercentilesMatchCommonPercentiles) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
   common::Rng rng(2024);
@@ -140,7 +146,6 @@ TEST(Histogram, ExactPercentilesMatchCommonPercentiles) {
 }
 
 TEST(Histogram, SnapshotIsCumulativeAcrossScrapes) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
   hist.record(1.0);
@@ -152,7 +157,6 @@ TEST(Histogram, SnapshotIsCumulativeAcrossScrapes) {
 }
 
 TEST(Histogram, SamplesBeyondCapAreDroppedButStillBucketed) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
   constexpr std::uint64_t kTotal = 70000;  // cap is 65536
@@ -180,7 +184,6 @@ std::vector<double> first_merged(const std::vector<std::vector<double>>& runs) {
 }
 
 TEST(Histogram, PerThreadCapKeepsTheMergedSamplesOfTwoThreads) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   // (first thread, second thread) sample counts: both past the cap, and
   // one under it with the other past it. Nothing scrapes until both join.
   for (const auto& [n_first, n_second] :
@@ -225,7 +228,6 @@ TEST(Histogram, PerThreadCapKeepsTheMergedSamplesOfTwoThreads) {
 }
 
 TEST(Histogram, RecreatedHistogramStartsUncapped) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   // The per-thread count is keyed by a process-unique histogram id, so a
   // histogram built where a capped one lived (typically the same address
   // here) does not inherit its count.
@@ -248,7 +250,6 @@ TEST(Histogram, RecreatedHistogramStartsUncapped) {
 }
 
 TEST(Span, RecordsElapsedSeconds) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
   {
@@ -261,7 +262,6 @@ TEST(Span, RecordsElapsedSeconds) {
 }
 
 TEST(Span, StopIsIdempotent) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
   {
@@ -273,7 +273,6 @@ TEST(Span, StopIsIdempotent) {
 }
 
 TEST(Registry, FindOrCreateReturnsStableHandles) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   obs::Counter& a = registry.counter("x");
   obs::Counter& b = registry.counter("x");
@@ -285,7 +284,6 @@ TEST(Registry, FindOrCreateReturnsStableHandles) {
 }
 
 TEST(Registry, KindMismatchThrows) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   registry.counter("x");
   EXPECT_THROW(registry.gauge("x"), std::logic_error);
@@ -295,7 +293,6 @@ TEST(Registry, KindMismatchThrows) {
 }
 
 TEST(Registry, JsonRendersInRegistrationOrder) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   registry.counter("zz.second").add(2);
   registry.counter("aa.first").add(1);
@@ -314,7 +311,6 @@ TEST(Registry, JsonRendersInRegistrationOrder) {
 }
 
 TEST(Registry, TableListsEveryMetric) {
-  if (!obs::kMetricsEnabled) GTEST_SKIP() << "metrics compiled out";
   obs::Registry registry;
   registry.counter("requests").add(3);
   registry.gauge("depth").set(4);
@@ -327,18 +323,14 @@ TEST(Registry, TableListsEveryMetric) {
 
 TEST(Registry, RenderJsonComposesIntoEnclosingDocument) {
   obs::Registry registry;
-  if (obs::kMetricsEnabled) registry.counter("c").add(1);
+  registry.counter("c").add(1);
   eval::JsonWriter json;
   json.begin_object();
   json.key("metrics");
   registry.render_json(json);
   json.field("after", std::int64_t{7});
   json.end_object();
-  if (obs::kMetricsEnabled) {
-    EXPECT_EQ(json.str(), "{\"metrics\":{\"c\":1},\"after\":7}");
-  } else {
-    EXPECT_EQ(json.str(), "{\"metrics\":{},\"after\":7}");
-  }
+  EXPECT_EQ(json.str(), "{\"metrics\":{\"c\":1},\"after\":7}");
 }
 
 TEST(GlobalRegistry, IsASingleton) {

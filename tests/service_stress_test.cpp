@@ -91,7 +91,7 @@ TEST(ServiceStress, ConcurrentAdmissionConservesAndNeverOverspends) {
   for (std::thread& thread : threads) thread.join();
 
   constexpr std::uint64_t kTotal = kThreads * kRequestsPerThread;
-  const service::ServiceStats stats = gsp.concurrent_stats();
+  const service::ServiceStats stats = gsp.stats();
   EXPECT_EQ(stats.requests, kTotal);
   EXPECT_EQ(stats.granted + stats.degraded + stats.budget_exhausted +
                 stats.invalid,

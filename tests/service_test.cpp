@@ -167,7 +167,7 @@ TEST(ReleaseService, BudgetExhaustionOrdering) {
   EXPECT_NEAR(gsp.user_spent(42).epsilon, 3.5, 1e-12);
   EXPECT_DOUBLE_EQ(gsp.user_remaining(42).epsilon, 0.0);
 
-  const service::ServiceStats& stats = gsp.stats();
+  const service::ServiceStats stats = gsp.stats();
   EXPECT_EQ(stats.requests, 7u);
   EXPECT_EQ(stats.granted, 3u);
   EXPECT_EQ(stats.degraded, 2u);
@@ -249,8 +249,53 @@ TEST(ReleaseService, NonFiniteRequestsAreInvalidAndUncharged) {
   EXPECT_EQ(batch.stats().invalid, malformed.size());
   EXPECT_EQ(batch.stats().cache_misses, 0u);
   EXPECT_EQ(concurrent.num_users(), 0u);
-  EXPECT_EQ(concurrent.concurrent_stats().invalid, malformed.size());
-  EXPECT_EQ(concurrent.concurrent_stats().cache_misses, 0u);
+  EXPECT_EQ(concurrent.stats().invalid, malformed.size());
+  EXPECT_EQ(concurrent.stats().cache_misses, 0u);
+}
+
+// Batch, per-request and stream traffic through one service all count
+// into the one stats(): every call once, every status once, one cache
+// outcome per released vector.
+TEST(ReleaseService, StatsCountEveryServingPathOnce) {
+  const poi::City city = make_city();
+  const auto cloaker = make_cloaker(city.db);
+  service::ReleaseService gsp(city.db, cloaker, two_policy_config());
+  const FakeStreamSource source;
+  gsp.attach_stream_source(&source);
+
+  const std::vector<service::ReleaseRequest> trace =
+      service::requests_of(service::generate_workload(city, small_workload()));
+  std::uint64_t calls = gsp.serve(trace).size();
+  // User 40 runs through grant, degrade and refusal (see
+  // two_policy_config); user 41's radius is invalid.
+  for (const service::ReleaseRequest& request : repeat_request(40, 7)) {
+    gsp.serve_concurrent(request);
+    ++calls;
+  }
+  gsp.serve_concurrent({41, {4.0, 4.0}, -1.0, 0});
+  ++calls;
+  // Two grants on one stream block (a miss, then a hit), one empty range.
+  gsp.serve_stream({50, 0, 0, 4, 0});
+  gsp.serve_stream({51, 1, 0, 4, 0});
+  gsp.serve_stream({52, 0, 5, 5, 0});
+  calls += 3;
+
+  const service::ServiceStats stats = gsp.stats();
+  EXPECT_EQ(stats.requests, calls);
+  EXPECT_EQ(stats.granted + stats.degraded + stats.budget_exhausted +
+                stats.invalid,
+            stats.requests);
+  EXPECT_EQ(stats.cache_hits + stats.cache_misses,
+            stats.granted + stats.degraded);
+  EXPECT_EQ(stats.users, gsp.session_stats().sessions_created);
+  EXPECT_EQ(stats.batches, 1u);
+  // Guard against vacuous sums: every outcome occurred.
+  EXPECT_GT(stats.granted, 0u);
+  EXPECT_GE(stats.degraded, 2u);
+  EXPECT_GE(stats.budget_exhausted, 2u);
+  EXPECT_EQ(stats.invalid, 2u);
+  EXPECT_GT(stats.cache_hits, 0u);
+  EXPECT_GT(stats.cache_misses, 0u);
 }
 
 // A finite radius far past the city is well formed: its disk covers every
@@ -286,7 +331,9 @@ TEST(ReleaseService, CacheHitsAreDeterministic) {
         {1, {4.0, 4.0}, 1.0, 0},
         {2, {4.0, 4.0}, 1.0, 0},
     };
-    return std::make_pair(gsp.serve(trace), gsp.stats());
+    // stats() is a snapshot: take it after serving.
+    std::vector<service::ReleaseResult> served = gsp.serve(trace);
+    return std::make_pair(std::move(served), gsp.stats());
   };
 
   const auto [results, stats] = run();
