@@ -3,15 +3,15 @@
 //   poibench --list                      catalog with one line per scenario
 //   poibench --scenario NAME [flags...]  run one scenario with its own
 //                                        flags (also `poibench NAME
-//                                        [flags...]`)
-//   poibench --all [--smoke] [flags...]  run every deterministic scenario in
-//                                        registration order; --smoke uses
-//                                        each scenario's pinned tiny-city
+//                                        [flags...]`); --smoke stands for
+//                                        the scenario's pinned tiny-city
 //                                        argument list, and any further
-//                                        flags (e.g. --threads N) are
-//                                        appended to every run — the
-//                                        regression gate diffs the combined
-//                                        stdout across thread counts
+//                                        flags (e.g. --threads N) follow it
+//   poibench --all [--smoke] [flags...]  run every deterministic scenario in
+//                                        registration order, each with the
+//                                        same flags — the regression gate
+//                                        diffs the combined stdout across
+//                                        thread counts
 //   poibench --kernel-tier               the frequency-kernel tier this
 //                                        machine dispatches to (scalar,
 //                                        avx2 or neon; POIPRIVACY_KERNEL
@@ -20,6 +20,7 @@
 //
 // Exit codes: 0 on success, 2 on usage errors or an unknown scenario, and
 // otherwise the first failing scenario's own exit code.
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -37,7 +38,8 @@ using poiprivacy::eval::ScenarioRegistry;
 void print_usage(std::FILE* out) {
   std::fputs(
       "usage: poibench --list\n"
-      "       poibench --scenario NAME [flags...]   (or: poibench NAME ...)\n"
+      "       poibench --scenario NAME [--smoke] [flags...]\n"
+      "                                      (or: poibench NAME ...)\n"
       "       poibench --all [--smoke] [flags...]\n"
       "       poibench --kernel-tier\n"
       "       poibench --help\n"
@@ -54,31 +56,34 @@ int list_scenarios() {
   return 0;
 }
 
-int run_all(int argc, char** argv, int first_extra_arg) {
-  bool smoke = false;
-  std::vector<std::string> forwarded;
-  for (int i = first_extra_arg; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--smoke") {
-      smoke = true;
-    } else {
-      forwarded.emplace_back(argv[i]);
-    }
+/// Runs scenario `name` on `program` + `flags`, where a `--smoke` among
+/// the flags stands for the scenario's pinned tiny-city argument list
+/// (put first, so the other flags, e.g. --threads N, still apply).
+int run_one(const char* program, std::string_view name,
+            const std::vector<std::string>& flags) {
+  std::vector<std::string> args{program};
+  const Scenario* scenario = ScenarioRegistry::instance().find(name);
+  if (scenario != nullptr &&
+      std::find(flags.begin(), flags.end(), "--smoke") != flags.end()) {
+    args.insert(args.end(), scenario->smoke_args.begin(),
+                scenario->smoke_args.end());
   }
+  for (const std::string& flag : flags) {
+    if (flag != "--smoke") args.push_back(flag);
+  }
+  std::vector<const char*> argv_run;
+  argv_run.reserve(args.size());
+  for (const std::string& arg : args) argv_run.push_back(arg.c_str());
+  return poiprivacy::bench::run_scenario_main(
+      name, static_cast<int>(argv_run.size()), argv_run.data());
+}
+
+int run_all(const char* program, const std::vector<std::string>& flags) {
   for (const Scenario& scenario : ScenarioRegistry::instance().all()) {
     if (!scenario.deterministic) continue;
     std::cout << "==== " << scenario.name << " ====\n";
     std::cout.flush();
-    std::vector<std::string> args{argv[0]};
-    if (smoke) {
-      args.insert(args.end(), scenario.smoke_args.begin(),
-                  scenario.smoke_args.end());
-    }
-    args.insert(args.end(), forwarded.begin(), forwarded.end());
-    std::vector<const char*> argv_run;
-    argv_run.reserve(args.size());
-    for (const std::string& arg : args) argv_run.push_back(arg.c_str());
-    const int code = poiprivacy::bench::run_scenario_main(
-        scenario.name, static_cast<int>(argv_run.size()), argv_run.data());
+    const int code = run_one(program, scenario.name, flags);
     std::cout.flush();
     if (code != 0) {
       std::cerr << "poibench: scenario " << scenario.name
@@ -111,19 +116,17 @@ int main(int argc, char** argv) {
                              .c_str());
     return 0;
   }
+  const std::vector<std::string> rest(argv + 2, argv + argc);
   if (mode == "--all") {
-    return run_all(argc, argv, 2);
+    return run_all(argv[0], rest);
   }
   if (mode == "--scenario") {
-    if (argc < 3) {
+    if (rest.empty()) {
       std::fputs("poibench: --scenario needs a name (see --list)\n", stderr);
       return 2;
     }
-    // Hand the scenario an argv of its own: program name + its flags.
-    std::vector<const char*> argv_run{argv[0]};
-    for (int i = 3; i < argc; ++i) argv_run.push_back(argv[i]);
-    return poiprivacy::bench::run_scenario_main(
-        argv[2], static_cast<int>(argv_run.size()), argv_run.data());
+    // The scenario gets an argv of its own: program name + its flags.
+    return run_one(argv[0], rest.front(), {rest.begin() + 1, rest.end()});
   }
   if (mode.rfind("--", 0) == 0) {
     std::fprintf(stderr, "poibench: unknown mode %s\n\n",
@@ -132,8 +135,5 @@ int main(int argc, char** argv) {
     return 2;
   }
   // Bare scenario name shorthand.
-  std::vector<const char*> argv_run{argv[0]};
-  for (int i = 2; i < argc; ++i) argv_run.push_back(argv[i]);
-  return poiprivacy::bench::run_scenario_main(
-      argv[1], static_cast<int>(argv_run.size()), argv_run.data());
+  return run_one(argv[0], mode, rest);
 }

@@ -64,9 +64,10 @@ int run(const eval::BenchOptions& options) {
     }
     const double single_rate = static_cast<double>(single) / attempts;
     const double enhanced_rate = static_cast<double>(enhanced) / attempts;
+    std::string gain = "+";  // not "+" + fmt(...): GCC 12 -Wrestrict
+    gain += common::fmt(enhanced_rate - single_rate);
     table.add_row({common::fmt(r, 1), common::fmt(single_rate),
-                   common::fmt(enhanced_rate),
-                   "+" + common::fmt(enhanced_rate - single_rate),
+                   common::fmt(enhanced_rate), gain,
                    std::to_string(attempts),
                    common::fmt(attack.validation_mae_km(), 2)});
   }

@@ -158,7 +158,8 @@ int run(const eval::BenchOptions& options) {
 
   for (const std::size_t m : {std::size_t{177}, std::size_t{272}}) {
     const KernelCorpus& c = kernel_corpus(m);
-    const std::string tag = "_" + std::to_string(m);
+    std::string tag = "_";  // not "_" + to_string(m): GCC 12 -Wrestrict
+    tag += std::to_string(m);
     const std::size_t pairs = c.as.size();
     // kPairs is a power of two, so the per-call corpus rotation is a mask
     // (an integer divide would cost as much as a short kernel call).
@@ -360,10 +361,8 @@ int run(const eval::BenchOptions& options) {
     const cloak::AdaptiveIntervalCloaker cloaker(
         cloak::uniform_population(db.bounds(), 10000, pop_rng), db.bounds());
     service::ServiceConfig config;
-    for (const std::size_t k : {16, 32}) {
-      config.policies.push_back(
-          {"k" + std::to_string(k), {.k = k, .epsilon = 0.5, .delta = 0.01}});
-    }
+    config.policies.push_back({"k16", {.k = 16, .epsilon = 0.5, .delta = 0.01}});
+    config.policies.push_back({"k32", {.k = 32, .epsilon = 0.5, .delta = 0.01}});
     const service::ReleaseService gsp(db, cloaker, config);
     for (service::PolicyId policy = 0; policy < config.policies.size();
          ++policy) {

@@ -23,8 +23,10 @@
 // admission counters come from the same stats(), which every serving
 // path counts into.
 #include <cstdint>
+#include <algorithm>
 #include <ctime>
 #include <iostream>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -148,14 +150,30 @@ int run(const eval::BenchOptions& options) {
     std::uint64_t renewals = 0;
   };
   std::vector<WaveCounts> wave_counts;
+  // The batch path measures no request latency (perfbench does): one
+  // serve() call per max_batch chunk drains exactly one batch, and each
+  // of its requests is attributed the call's time divided by the chunk
+  // size, the time one of them occupied the service, reported as
+  // batch_drain_ms_per_request. The unpipelined TCP path fills
+  // latencies_ms with round trips instead.
+  std::vector<double> drain_ms;
   if (connections == 0) {
     const std::size_t rounds = waves == 0 ? 1 : waves;
+    const std::size_t batch = gsp.config().max_batch;
     service::ServiceStats before = gsp.stats();
     std::uint64_t renewals_before = 0;
     for (std::size_t wave = 0; wave < rounds; ++wave) {
       if (wave > 0) gsp.advance_epoch();
-      const std::vector<service::ReleaseResult> results = gsp.serve(trace);
-      served += results.size();
+      for (std::size_t begin = 0; begin < trace.size(); begin += batch) {
+        const std::span<const service::ReleaseRequest> chunk =
+            std::span(trace).subspan(begin,
+                                     std::min(batch, trace.size() - begin));
+        const common::Stopwatch drain;
+        served += gsp.serve(chunk).size();
+        drain_ms.insert(drain_ms.end(), chunk.size(),
+                        drain.seconds() * 1e3 /
+                            static_cast<double>(chunk.size()));
+      }
       const service::ServiceStats after = gsp.stats();
       const std::uint64_t renewals_after = gsp.session_stats().renewals;
       wave_counts.push_back({after.granted - before.granted,
@@ -227,25 +245,6 @@ int run(const eval::BenchOptions& options) {
   clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &cpu1);
   const double cpu_seconds = static_cast<double>(cpu1.tv_sec - cpu0.tv_sec) +
                              static_cast<double>(cpu1.tv_nsec - cpu0.tv_nsec) / 1e9;
-
-  // The batch path measures no request latency (perfbench does): each
-  // request is attributed its batch's drain time divided by the batch
-  // size, the time one of them occupied the service, reported as
-  // batch_drain_ms_per_request. The unpipelined TCP path filled
-  // latencies_ms with round trips.
-  std::vector<double> drain_ms;
-  if (connections == 0) {
-    drain_ms.reserve(served);
-    const std::vector<double>& batch_seconds = gsp.batch_seconds();
-    const std::vector<std::size_t>& batch_sizes = gsp.batch_sizes();
-    for (std::size_t b = 0; b < batch_seconds.size(); ++b) {
-      const double per_request_ms =
-          batch_seconds[b] * 1e3 / static_cast<double>(batch_sizes[b]);
-      for (std::size_t i = 0; i < batch_sizes[b]; ++i) {
-        drain_ms.push_back(per_request_ms);
-      }
-    }
-  }
 
   // Phase F allocation gate: on a steady-state hot aggregate, the release
   // routine allocates exactly its response. Only binaries that link the

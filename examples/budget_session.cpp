@@ -15,7 +15,7 @@
 
 using namespace poiprivacy;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const common::Flags flags(argc, argv, {"seed", "eps", "ceiling"});
   if (flags.help_requested()) {
     std::cout << flags.usage(argv[0]);
@@ -72,4 +72,6 @@ int main(int argc, char** argv) {
               << " delta=" << common::fmt(spent.delta, 3) << "\n";
   }
   return 0;
+} catch (const std::invalid_argument& error) {
+  return common::usage_error(argv[0], error);
 }

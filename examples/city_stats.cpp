@@ -14,7 +14,7 @@
 
 using namespace poiprivacy;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const common::Flags flags(argc, argv, {"seed", "city", "map"});
   if (flags.help_requested()) {
     std::cout << flags.usage(argv[0]);
@@ -65,4 +65,6 @@ int main(int argc, char** argv) {
     std::cout << poi::render_density(poi::density_grid(db, 1.0));
   }
   return 0;
+} catch (const std::invalid_argument& error) {
+  return common::usage_error(argv[0], error);
 }

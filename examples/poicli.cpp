@@ -164,22 +164,25 @@ int cmd_uniqueness(const common::Flags& flags) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const common::Flags flags(argc, argv);
+int main(int argc, char** argv) try {
+  const common::Flags flags(
+      argc, argv,
+      {"city", "seed", "out", "db", "x", "y", "r", "mechanism", "beta",
+       "epsilon", "k", "cell"});
   if (flags.help_requested()) {
     usage();
     return 0;
   }
   if (flags.positional().size() != 1) return usage();
   const std::string& command = flags.positional().front();
-  try {
-    if (command == "generate") return cmd_generate(flags);
-    if (command == "attack") return cmd_attack(flags);
-    if (command == "protect") return cmd_protect(flags);
-    if (command == "uniqueness") return cmd_uniqueness(flags);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
+  if (command == "generate") return cmd_generate(flags);
+  if (command == "attack") return cmd_attack(flags);
+  if (command == "protect") return cmd_protect(flags);
+  if (command == "uniqueness") return cmd_uniqueness(flags);
   return usage();
+} catch (const std::invalid_argument& error) {
+  return common::usage_error(argv[0], error);
+} catch (const std::exception& error) {
+  std::cerr << "error: " << error.what() << "\n";
+  return 1;
 }

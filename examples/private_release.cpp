@@ -17,7 +17,7 @@
 
 using namespace poiprivacy;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const common::Flags flags(argc, argv, {"seed", "r"});
   if (flags.help_requested()) {
     std::cout << flags.usage(argv[0]);
@@ -76,4 +76,6 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& error) {
+  return common::usage_error(argv[0], error);
 }

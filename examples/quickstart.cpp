@@ -14,7 +14,7 @@
 
 using namespace poiprivacy;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const common::Flags flags(argc, argv, {"seed"});
   if (flags.help_requested()) {
     std::cout << flags.usage(argv[0]);
@@ -73,4 +73,6 @@ int main(int argc, char** argv) {
             << ", top-10 Jaccard utility="
             << poi::top_k_jaccard(released, private_release, 10) << "\n";
   return 0;
+} catch (const std::invalid_argument& error) {
+  return common::usage_error(argv[0], error);
 }

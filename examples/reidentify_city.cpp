@@ -14,7 +14,7 @@
 
 using namespace poiprivacy;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const common::Flags flags(argc, argv,
                             {"seed", "locations", common::Flags::kThreadsFlag,
                              common::Flags::kMetricsFlag});
@@ -51,4 +51,6 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+} catch (const std::invalid_argument& error) {
+  return common::usage_error(argv[0], error);
 }

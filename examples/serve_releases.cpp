@@ -15,7 +15,7 @@
 
 using namespace poiprivacy;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const common::Flags flags(argc, argv,
                             {"users", "requests", "seed", "ceiling",
                              common::Flags::kThreadsFlag,
@@ -111,4 +111,6 @@ int main(int argc, char** argv) {
                    "users seen: " + std::to_string(gsp.num_users()) +
                        ", batches: " + std::to_string(stats.batches));
   return 0;
+} catch (const std::invalid_argument& error) {
+  return common::usage_error(argv[0], error);
 }

@@ -83,7 +83,7 @@ IntegerFlags read_integer_flags(const common::Flags& flags) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const common::Flags flags(
       argc, argv,
       {"port", "workers", "ceiling", "session-ttl", "cache-ttl",
@@ -93,19 +93,12 @@ int main(int argc, char** argv) {
     std::cout << flags.usage(argv[0]);
     return 0;
   }
-  std::uint64_t seed = 0;
-  double ceiling = 0.0;
-  IntegerFlags ints;
-  try {
-    seed = static_cast<std::uint64_t>(
-        flags.get("seed", static_cast<std::int64_t>(42)));
-    ceiling = flags.get("ceiling", 6.0);
-    ints = read_integer_flags(flags);
-    flags.apply_threads_flag();
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "serve_tcp: " << e.what() << "\n";
-    return 2;
-  }
+  // Every flag is read before any city or thread is built.
+  const auto seed = static_cast<std::uint64_t>(
+      flags.get("seed", static_cast<std::int64_t>(42)));
+  const double ceiling = flags.get("ceiling", 6.0);
+  const IntegerFlags ints = read_integer_flags(flags);
+  flags.apply_threads_flag();
   flags.apply_metrics_flag();
 
   const poi::City city = poi::generate_city(poi::beijing_preset(), seed);
@@ -193,4 +186,6 @@ int main(int argc, char** argv) {
             << sessions.renewals << " budget renewals, "
             << sessions.full_refusals << " full-table refusals\n";
   return 0;
+} catch (const std::invalid_argument& error) {
+  return common::usage_error(argv[0], error);
 }

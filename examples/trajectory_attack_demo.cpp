@@ -13,7 +13,7 @@
 
 using namespace poiprivacy;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const common::Flags flags(argc, argv, {"seed", "r"});
   if (flags.help_requested()) {
     std::cout << flags.usage(argv[0]);
@@ -91,4 +91,6 @@ int main(int argc, char** argv) {
   std::cout << "  two-release success:    "
             << common::fmt(static_cast<double>(enhanced) / attempts) << "\n";
   return 0;
+} catch (const std::invalid_argument& error) {
+  return common::usage_error(argv[0], error);
 }

@@ -11,7 +11,7 @@
 
 using namespace poiprivacy;
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const common::Flags flags(argc, argv, {"seed", "r", "cell", "city"});
   if (flags.help_requested()) {
     std::cout << flags.usage(argv[0]);
@@ -39,4 +39,6 @@ int main(int argc, char** argv) {
             << map.cells.size() - map.count(eval::CellOutcome::kEmpty)
             << " populated cells)\n";
   return 0;
+} catch (const std::invalid_argument& error) {
+  return common::usage_error(argv[0], error);
 }

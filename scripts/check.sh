@@ -3,13 +3,15 @@
 #   1. the dead-header check (every src/**/*.h must be included by some
 #      file under src/, bench/, examples/ or perfbench/ other than its own
 #      .cpp — code that only its own tests reach is deleted), then the
-#      plain build + the tier-1 test suite,
+#      plain build + the tier-1 test suite, then the flag-error gate:
+#      every example binary exits 2 on `--seed 4x` and on an unknown
+#      flag (a usage error, never an uncaught-exception abort),
 #   2. ThreadSanitizer build + the concurrency suites (`-L tsan`),
 #   3. the metrics-determinism binary, which internally re-runs the
 #      service and eval pipelines at --threads 1/2/8 with mid-run
 #      registry scrapes and asserts bit-identical results, then an
 #      end-to-end --metrics dump: the service_throughput scenario on its
-#      pinned smoke arguments must write a parseable JSON registry
+#      pinned smoke arguments (--smoke) must write a parseable JSON registry
 #      holding service.batch_seconds, a service.phase.*_seconds
 #      histogram that recorded samples, and parallel.tasks,
 #   4. the scenario-catalog determinism gate: poibench --all --smoke at
@@ -88,6 +90,22 @@ echo "dead-header check: every src header has an includer"
 cmake -B build -S . >/dev/null
 cmake --build build -j "$jobs"
 (cd build && ctest -L tier1 --output-on-failure -j "$jobs")
+for example in build/examples/*; do
+  [ -f "$example" ] && [ -x "$example" ] || continue
+  # poicli parses its flags per command; generate reads --seed.
+  prefix=()
+  [ "$(basename "$example")" = poicli ] && prefix=(generate --out /dev/null)
+  for bad in "--seed 4x" "--no-such-flag"; do
+    status=0
+    # $bad is unquoted on purpose: "--seed 4x" is two words.
+    "$example" "${prefix[@]}" $bad >/dev/null 2>&1 || status=$?
+    if [ "$status" != 2 ]; then
+      echo "check.sh: $example $bad exited $status, want 2" >&2
+      exit 1
+    fi
+  done
+done
+echo "flag errors: every example exits 2 on --seed 4x and --no-such-flag"
 
 echo "== [2/11] ThreadSanitizer build + tsan-labelled tests =="
 cmake -B build-tsan -S . -DPOIPRIVACY_SANITIZE=thread >/dev/null
@@ -97,8 +115,8 @@ cmake --build build-tsan -j "$jobs"
 echo "== [3/11] metrics determinism at --threads 1/2/8 + --metrics dump =="
 ./build/tests/obs_determinism_test
 metrics_json="$(mktemp)"
-./build/bench/poibench --scenario service_throughput --users 50 \
-  --requests 5 --seed 4242 --metrics="$metrics_json" >/dev/null 2>&1
+./build/bench/poibench --scenario service_throughput --smoke \
+  --metrics="$metrics_json" >/dev/null 2>&1
 python3 -c "
 import json
 with open('$metrics_json') as f:

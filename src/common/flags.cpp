@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <iostream>
 #include <stdexcept>
 
 #include "common/parallel.h"
@@ -142,6 +143,11 @@ bool Flags::get(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+int usage_error(const char* program, const std::exception& error) {
+  std::cerr << program << ": error: " << error.what() << "\n";
+  return 2;
 }
 
 }  // namespace poiprivacy::common

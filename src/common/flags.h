@@ -6,9 +6,11 @@
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <limits>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -72,5 +74,11 @@ class Flags {
   std::vector<std::string> positional_;
   std::vector<std::string> known_;
 };
+
+/// The exit path for a flag error escaping a binary's main body (an
+/// unknown flag, or a value a getter rejects): prints
+/// "<program>: error: <what>" to stderr and returns exit status 2, so
+/// `main` ends cleanly instead of aborting on an uncaught exception.
+int usage_error(const char* program, const std::exception& error);
 
 }  // namespace poiprivacy::common

@@ -45,8 +45,12 @@ int ScenarioRegistry::run_main(std::string_view name, int argc,
     }
     return 2;
   }
-  const BenchOptions options(argc, argv, scenario->extra_flags);
-  return scenario->run(options);
+  try {
+    const BenchOptions options(argc, argv, scenario->extra_flags);
+    return scenario->run(options);
+  } catch (const std::invalid_argument& error) {
+    return common::usage_error(argc > 0 ? argv[0] : "poibench", error);
+  }
 }
 
 }  // namespace poiprivacy::eval

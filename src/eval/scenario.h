@@ -63,9 +63,9 @@ class ScenarioRegistry {
 
   /// Runs one scenario as if it were a standalone binary: parses argv
   /// with the scenario's extra flags (so `--help` lists them and an
-  /// unknown flag is rejected naming it) and invokes
-  /// run. Unknown scenario names print the known list to stderr and
-  /// return 2.
+  /// unknown flag is rejected naming it) and invokes run. A flag value
+  /// a getter rejects (std::invalid_argument) and an unknown scenario
+  /// name print an error to stderr and return 2.
   int run_main(std::string_view name, int argc,
                const char* const* argv) const;
 

@@ -1,5 +1,6 @@
 #include "net/frame.h"
 
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <bit>
@@ -62,20 +63,6 @@ int read_exact(int fd, std::uint8_t* buf, std::size_t n) noexcept {
     return -1;
   }
   return 0;
-}
-
-bool write_exact(int fd, const std::uint8_t* buf, std::size_t n) noexcept {
-  std::size_t sent = 0;
-  while (sent < n) {
-    const ssize_t w = ::write(fd, buf + sent, n - sent);
-    if (w > 0) {
-      sent += static_cast<std::size_t>(w);
-      continue;
-    }
-    if (w < 0 && errno == EINTR) continue;
-    return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -194,8 +181,28 @@ bool write_frame(int fd, std::span<const std::uint8_t> body) {
   header[1] = static_cast<std::uint8_t>(length >> 8);
   header[2] = static_cast<std::uint8_t>(length >> 16);
   header[3] = static_cast<std::uint8_t>(length >> 24);
-  if (!write_exact(fd, header, sizeof header)) return false;
-  return body.empty() || write_exact(fd, body.data(), body.size());
+  // Header and body leave in one writev, so a TCP_NODELAY socket sends
+  // one segment per frame; a short write resumes where it stopped.
+  iovec parts[2] = {{header, sizeof header},
+                    {const_cast<std::uint8_t*>(body.data()), body.size()}};
+  iovec* next = parts;
+  int count = body.empty() ? 1 : 2;
+  while (count > 0) {
+    const ssize_t w = ::writev(fd, next, count);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) return false;
+    auto sent = static_cast<std::size_t>(w);
+    while (count > 0 && sent >= next->iov_len) {
+      sent -= next->iov_len;
+      ++next;
+      --count;
+    }
+    if (count > 0) {
+      next->iov_base = static_cast<std::uint8_t*>(next->iov_base) + sent;
+      next->iov_len -= sent;
+    }
+  }
+  return true;
 }
 
 }  // namespace poiprivacy::net

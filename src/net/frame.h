@@ -78,7 +78,8 @@ enum class FrameIo : std::uint8_t {
 FrameIo read_frame(int fd, std::vector<std::uint8_t>& body,
                    std::size_t max_bytes = kMaxFrameBytes);
 
-/// Writes one frame (header + body), looping over short writes.
+/// Writes one frame, header and body in one writev, looping over short
+/// writes and EINTR.
 bool write_frame(int fd, std::span<const std::uint8_t> body);
 
 }  // namespace poiprivacy::net

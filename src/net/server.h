@@ -3,21 +3,24 @@
 // The serving layer's process boundary: a listener accepts loopback/LAN
 // connections, each speaking the length-prefixed frame protocol of
 // frame.h (one request frame in, one response frame out, pipelining
-// allowed), and every decoded request is answered through
-// ReleaseService::serve_concurrent() — the lock-free admission path —
-// so the socket tier adds no locking of its own around the service.
+// allowed). A point request is answered through
+// ReleaseService::serve_concurrent(), a batch of one through the
+// service's one serving pipeline, and a stream request through
+// serve_stream(); both are thread-safe, so the socket tier adds no
+// locking of its own around the service.
 //
 // Threading model (deliberately boring): one accept thread pushes
 // connected fds onto a bounded-by-backlog queue; `workers` long-lived
 // connection loops pop fds and own one connection each until it closes.
-// The loops run on a private common::ThreadPool (the pool's fork-join
-// run_tasks is driven from a dispatcher thread, making it a plain
-// worker group), so the server composes with --threads conventions
-// without touching the global pool. A worker holding a connection
-// serves it to completion — with W workers, at most W concurrent
-// connections make progress and further ones wait in the queue; this is
-// a deliberate fit for the loopback bench/test use (bounded, simple),
-// not a C10K design.
+// The loops run as tasks of a private common::ThreadPool (the pool's
+// fork-join run_tasks is driven from a dispatcher thread, making it a
+// plain worker group). Running inside a pool task, a connection thread
+// executes the service's parallel_for_each phases inline, so connections
+// never contend for global_pool() and the server composes with --threads
+// conventions. A worker holding a connection serves it to completion —
+// with W workers, at most W concurrent connections make progress and
+// further ones wait in the queue; this is a deliberate fit for the
+// loopback bench/test use (bounded, simple), not a C10K design.
 //
 // Protocol errors fail the connection, not the server: a malformed or
 // oversized frame closes that connection (counted in stats) and the
@@ -58,9 +61,10 @@ struct ServerStats {
 
 class ReleaseServer {
  public:
-  /// The service must outlive the server; serve_concurrent is the only
-  /// member the server calls, so the owner may keep using the batch path
-  /// (at the cost of batch-path replay determinism, as documented there).
+  /// The service must outlive the server. The server calls only
+  /// serve_concurrent and serve_stream, so the owner may keep calling
+  /// serve()/enqueue() meanwhile (forfeiting their bit-identical replay,
+  /// as documented in release_service.h).
   ReleaseServer(service::ReleaseService& service, ServerConfig config);
   ~ReleaseServer();
 

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/parallel.h"
-#include "common/stopwatch.h"
 #include "dp/mechanisms.h"
 #include "obs/metrics.h"
 
@@ -22,8 +21,8 @@ constexpr std::size_t kComputeChunk = 1;
 constexpr std::size_t kNotMissing = static_cast<std::size_t>(-1);
 
 /// A point request the service can answer: a known policy, a finite
-/// location and a finite positive radius. Both serving paths check this
-/// before admission, so a malformed request is never charged budget and
+/// location and a finite positive radius. Phase A checks this before
+/// admission, so a malformed request is never charged budget and
 /// never reaches the cloaker or the grid index. (A finite but huge radius
 /// is well formed: its disk covers the whole city.)
 bool well_formed(const ReleaseRequest& request, std::size_t num_policies) {
@@ -241,7 +240,6 @@ struct ReleaseService::Admitted {
 void ReleaseService::serve_batch(std::span<const ReleaseRequest> requests,
                                  std::vector<ReleaseResult>& results) {
   ServiceMetrics& metrics = ServiceMetrics::get();
-  const common::Stopwatch timer;
   const obs::Span batch_span(metrics.batch_seconds);
   const std::size_t base = results.size();
   results.resize(base + requests.size());
@@ -362,8 +360,6 @@ void ReleaseService::serve_batch(std::span<const ReleaseRequest> requests,
   noise_span.stop();
 
   counters_.batches.add(1);
-  batch_sizes_.push_back(requests.size());
-  batch_seconds_.push_back(timer.seconds());
 }
 
 void ReleaseService::drain_queue() {
@@ -393,14 +389,10 @@ std::vector<ReleaseResult> ReleaseService::serve(
   return flush();
 }
 
-ReleaseResult ReleaseService::serve_one(const ReleaseRequest& request) {
-  return std::move(serve({&request, 1}).front());
-}
-
 ReleaseResult ReleaseService::serve_stream(const StreamRequest& request) {
   ReleaseResult out;
-  // Arrival order assigns the noise substream, exactly like
-  // serve_concurrent: a sequential caller is fully reproducible.
+  // Arrival order assigns the noise substream, exactly like a point
+  // request: a sequential caller is fully reproducible.
   const std::uint64_t noise_index =
       next_request_index_.fetch_add(1, std::memory_order_relaxed);
   counters_.requests.add(1);
@@ -483,47 +475,9 @@ ReleaseResult ReleaseService::serve_stream(const StreamRequest& request) {
 }
 
 ReleaseResult ReleaseService::serve_concurrent(const ReleaseRequest& request) {
-  ReleaseResult out;
-  // The arrival order that wins this fetch_add IS the request's identity
-  // for noise purposes — a sequential caller reproduces the batch path's
-  // substream assignment exactly.
-  const std::uint64_t noise_index =
-      next_request_index_.fetch_add(1, std::memory_order_relaxed);
-  counters_.requests.add(1);
-  if (!well_formed(request, config_.policies.size())) {
-    out.status = ReleaseStatus::kInvalidRequest;
-    out.spent = {0.0, 0.0};
-    counters_.invalid.add(1);
-    return out;
-  }
-  PolicyId served = request.policy;
-  const ReleaseStatus status = admit(request.user_id, request.policy, served);
-  out.spent = sessions_.spent(request.user_id);
-  out.status = status;
-  counters_.of(status).add(1);
-  if (status == ReleaseStatus::kBudgetExhausted) return out;
-  out.served_policy = served;
-  ReleaseCacheKey key;
-  key.region =
-      cloaker_->cloak(request.location, config_.policies[served].release.k)
-          .region;
-  key.radius = request.radius;
-  key.policy = served;
-  std::shared_ptr<const CloakAggregate> aggregate = cache_.get(key);
-  if (aggregate) {
-    out.cache_hit = true;
-    counters_.cache_hits.add(1);
-  } else {
-    // No cross-thread coalescing here: two threads cold-probing one key
-    // both compute, and the later put refreshes the (identical) entry.
-    aggregate = std::make_shared<const CloakAggregate>(compute_aggregate(key));
-    cache_.put(key, aggregate);
-    counters_.cache_misses.add(1);
-  }
-  common::Rng rng = noise_base_.substream(noise_index);
-  out.vector =
-      noised_release(config_.policies[served].release, *aggregate, rng);
-  return out;
+  std::vector<ReleaseResult> out;
+  serve_batch({&request, 1}, out);
+  return std::move(out.front());
 }
 
 }  // namespace poiprivacy::service

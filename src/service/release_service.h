@@ -15,16 +15,16 @@
 //   * a sharded LRU+TTL cache of cloak-region aggregates so users
 //     cloaked into the same quadrant share the k range queries
 //     (release_cache.h);
-//   * two serving paths over the same state:
-//       - the deterministic batch path: enqueue() fills a bounded queue
-//         that drains onto the common/parallel thread pool in 6 phases;
-//       - serve_concurrent(): a thread-safe per-request path for the
-//         socket front-end (src/net), where many worker threads admit
-//         and release concurrently.
+//   * one serving pipeline for point requests, serve_batch(): enqueue()
+//     fills a bounded queue that drains into it max_batch at a time, and
+//     serve_concurrent() is a batch of one for the socket front-end
+//     (src/net). serve_batch() is safe to call from several threads at
+//     once: the session table, the cache and the counters are.
 //
-// Determinism contract for the batch path (the same one the eval runners
-// honour): statuses, released vectors and every counter are bit-identical
-// for any --threads. Four mechanisms make it hold:
+// Determinism contract: a single caller of serve()/enqueue() (the
+// queue's one owner) gets bit-identical replay — statuses, released
+// vectors and every counter are the same for any --threads. Four
+// mechanisms make it hold:
 //   1. admission runs serially in request order (the session table is a
 //      pure function of the charge sequence);
 //   2. cache probes/inserts run serially in request order, so LRU motion
@@ -35,13 +35,15 @@
 //   4. a cached aggregate is a pure function of its key — its dummy draw
 //      seeds from the key hash — so cache capacity (hence eviction) can
 //      change which work is *recomputed* but never a released vector.
-// serve_concurrent() keeps 3 and 4 (vectors depend only on the arrival
-// order that assigns noise indices) but runs admission lock-free, so a
-// single connection issuing requests sequentially reproduces the batch
-// path bit-for-bit while concurrent connections remain merely
-// linearizable. The paths share the session table, the cache and one
-// set of counters (stats() reports all of them); interleaving them
-// forfeits the batch path's replay determinism, nothing else.
+// Arrival order assigns the noise indices, so one connection issuing
+// requests sequentially reproduces serve() bit for bit. Concurrent
+// serve_concurrent() callers stay linearizable per user (a user's
+// charges apply in one order and never overspend) and get no coalescing
+// across calls (cold probes of one key in two calls both compute it).
+// All callers share the session table, the cache and one set of
+// counters (stats() reports all of them); interleaved callers take noise
+// indices and move the cache under each other, so they forfeit the
+// owner's replay, nothing else.
 //
 // Eviction and renewal: advance_epoch() ticks the session table's and
 // the cache's logical clocks, runs their sweeps, and renews windowed
@@ -191,7 +193,8 @@ struct ServiceStats {
   std::uint64_t invalid = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t batches = 0;  ///< batch-path drains only
+  std::uint64_t batches = 0;  ///< serve_batch calls: drained batches plus
+                              ///< serve_concurrent calls
   std::uint64_t users = 0;    ///< sessions created so far
 
   std::uint64_t count(ReleaseStatus status) const noexcept;
@@ -227,14 +230,9 @@ class ReleaseService {
   /// requests from a previous partial enqueue.
   std::vector<ReleaseResult> serve(std::span<const ReleaseRequest> requests);
 
-  /// Convenience single-request path (a batch of one); same requirement.
-  ReleaseResult serve_one(const ReleaseRequest& request);
-
-  /// Thread-safe per-request path for the socket front-end: lock-free
-  /// admission, shared cache, per-arrival noise substreams. Safe to call
-  /// from many threads at once; counts into stats(). No batch
-  /// coalescing — concurrent cold probes of one key may compute the
-  /// (identical, key-pure) aggregate more than once.
+  /// One request as a batch of one through serve_batch(), for the socket
+  /// front-end. Safe to call from many threads at once, and alongside
+  /// the owner's serve()/enqueue(); counts into stats().
   ReleaseResult serve_concurrent(const ReleaseRequest& request);
 
   /// Serves one continual-release stream request (thread-safe, counts
@@ -265,14 +263,6 @@ class ReleaseService {
   /// stats' hits/misses are the effective per-request ones.
   ReleaseCacheStats cache_stats() const { return cache_.stats(); }
   SessionTableStats session_stats() const { return sessions_.stats(); }
-  /// Wall-clock seconds spent draining each batch, in drain order (for
-  /// latency reporting; not part of the determinism contract).
-  const std::vector<double>& batch_seconds() const noexcept {
-    return batch_seconds_;
-  }
-  const std::vector<std::size_t>& batch_sizes() const noexcept {
-    return batch_sizes_;
-  }
 
   /// Budget state of one user; zero-spend if the user was never admitted
   /// (or the session TTL-expired — budget renewal).
@@ -304,11 +294,13 @@ class ReleaseService {
     obs::Counter& of(ReleaseStatus status) noexcept;
   };
 
-  /// The admission decision shared by both serving paths: try the
-  /// requested policy, fall back to the degrade policy, else refuse.
+  /// The admission decision of Phase A: try the requested policy, fall
+  /// back to the degrade policy, else refuse.
   /// Returns the status and fills `served` on grant/degrade.
   ReleaseStatus admit(UserId user, PolicyId requested, PolicyId& served);
 
+  /// The point-request pipeline: appends one result per request to
+  /// `results`. Thread-safe (see the header comment).
   void serve_batch(std::span<const ReleaseRequest> requests,
                    std::vector<ReleaseResult>& results);
   void drain_queue();
@@ -328,8 +320,6 @@ class ReleaseService {
   std::deque<ReleaseRequest> queue_;
   std::vector<ReleaseResult> collected_;
   Counters counters_;
-  std::vector<double> batch_seconds_;
-  std::vector<std::size_t> batch_sizes_;
   std::atomic<std::uint64_t> next_request_index_{0};  ///< noise substreams
   common::Rng noise_base_;
   common::Rng aggregate_base_;

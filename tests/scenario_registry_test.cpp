@@ -84,6 +84,16 @@ TEST(ScenarioRegistry, UnknownNameReturns2) {
   EXPECT_EQ(run_scenario("no_such_scenario", {}, &out), 2);
 }
 
+// A value a getter rejects, whether a common flag or a scenario's own,
+// returns 2 with the message instead of escaping as an exception.
+TEST(ScenarioRegistry, MalformedFlagValueReturns2) {
+  register_all_scenarios();
+  std::string out;
+  EXPECT_EQ(run_scenario("fig04_geoind", {"--seed", "4x"}, &out), 2);
+  EXPECT_EQ(run_scenario("service_throughput", {"--users", "5x"}, &out), 2);
+  EXPECT_TRUE(out.empty());
+}
+
 TEST(ScenarioRegistry, EveryScenarioRunsCleanInSmokeMode) {
   register_all_scenarios();
   for (const eval::Scenario& scenario :

@@ -202,14 +202,14 @@ TEST(ReleaseService, InvalidRequestsAreTypedNotThrown) {
   service::ReleaseService gsp(city.db, cloaker, two_policy_config());
 
   const service::ReleaseResult bad_policy =
-      gsp.serve_one({1, {4.0, 4.0}, 1.0, 9});
+      gsp.serve_concurrent({1, {4.0, 4.0}, 1.0, 9});
   EXPECT_EQ(bad_policy.status, service::ReleaseStatus::kInvalidRequest);
   EXPECT_TRUE(bad_policy.vector.empty());
   EXPECT_DOUBLE_EQ(bad_policy.spent.epsilon, 0.0);
   EXPECT_DOUBLE_EQ(bad_policy.spent.delta, 0.0);
 
   const service::ReleaseResult bad_radius =
-      gsp.serve_one({1, {4.0, 4.0}, 0.0, 0});
+      gsp.serve_concurrent({1, {4.0, 4.0}, 0.0, 0});
   EXPECT_EQ(bad_radius.status, service::ReleaseStatus::kInvalidRequest);
 
   // Invalid requests never create a session or spend budget.
@@ -217,8 +217,8 @@ TEST(ReleaseService, InvalidRequestsAreTypedNotThrown) {
   EXPECT_EQ(gsp.stats().invalid, 2u);
 }
 
-// A non-finite radius or location is refused before admission on both
-// serving paths. Before the check, inf slipped past `!(radius > 0)` (as
+// A non-finite radius or location is refused before admission, through
+// serve() and serve_concurrent() alike. Before the check, inf slipped past `!(radius > 0)` (as
 // did a NaN location) and reached the grid index's float-to-int cell
 // computation, which is UB; the ASan/UBSan gate runs this suite with
 // float-cast-overflow enabled.
@@ -288,7 +288,8 @@ TEST(ReleaseService, StatsCountEveryServingPathOnce) {
   EXPECT_EQ(stats.cache_hits + stats.cache_misses,
             stats.granted + stats.degraded);
   EXPECT_EQ(stats.users, gsp.session_stats().sessions_created);
-  EXPECT_EQ(stats.batches, 1u);
+  // One drained batch plus one batch of one per serve_concurrent call.
+  EXPECT_EQ(stats.batches, 1u + 8u);
   // Guard against vacuous sums: every outcome occurred.
   EXPECT_GT(stats.granted, 0u);
   EXPECT_GE(stats.degraded, 2u);
@@ -311,7 +312,7 @@ TEST(ReleaseService, HugeFiniteRadiusCoversTheCity) {
   service::ReleaseService batch(city.db, cloaker, two_policy_config());
   service::ReleaseService concurrent(city.db, cloaker, two_policy_config());
   const service::ReleaseRequest huge{1, {4.0, 4.0}, 1e300, 0};
-  const service::ReleaseResult a = batch.serve_one(huge);
+  const service::ReleaseResult a = batch.serve({&huge, 1}).front();
   const service::ReleaseResult b = concurrent.serve_concurrent(huge);
   EXPECT_EQ(a.status, service::ReleaseStatus::kGranted);
   EXPECT_EQ(a.vector.size(), city.db.num_types());
@@ -384,8 +385,8 @@ TEST(ReleaseService, EvictionCountersSplitLruFromTtl) {
     config.epsilon_ceiling = 100.0;
     config.cache_capacity = 1;
     service::ReleaseService gsp(city.db, cloaker, config);
-    gsp.serve_one({1, {4.0, 4.0}, 1.0, 0});
-    gsp.serve_one({1, {4.0, 4.0}, 2.0, 0});  // same region, new radius
+    gsp.serve_concurrent({1, {4.0, 4.0}, 1.0, 0});
+    gsp.serve_concurrent({1, {4.0, 4.0}, 2.0, 0});  // same region, new radius
     const service::ReleaseCacheStats cache = gsp.cache_stats();
     EXPECT_EQ(cache.misses, 2u);
     EXPECT_EQ(cache.evictions_lru, 1u);
@@ -402,14 +403,14 @@ TEST(ReleaseService, EvictionCountersSplitLruFromTtl) {
     config.epsilon_ceiling = 100.0;
     config.cache_ttl_epochs = 1;
     service::ReleaseService gsp(city.db, cloaker, config);
-    const auto first = gsp.serve_one({1, {4.0, 4.0}, 1.0, 0});
+    const auto first = gsp.serve_concurrent({1, {4.0, 4.0}, 1.0, 0});
     EXPECT_FALSE(first.cache_hit);
     gsp.advance_epoch();
     const service::ReleaseCacheStats cache = gsp.cache_stats();
     EXPECT_EQ(cache.evictions_ttl, 1u);
     EXPECT_EQ(cache.evictions_lru, 0u);
     EXPECT_EQ(cache.entries, 0u);
-    const auto again = gsp.serve_one({1, {4.0, 4.0}, 1.0, 0});
+    const auto again = gsp.serve_concurrent({1, {4.0, 4.0}, 1.0, 0});
     EXPECT_FALSE(again.cache_hit);
     EXPECT_EQ(gsp.cache_stats().misses, 2u);
   }
@@ -435,7 +436,7 @@ TEST(ReleaseService, SessionTtlRenewsBudget) {
   EXPECT_EQ(gsp.num_users(), 0u);
   EXPECT_DOUBLE_EQ(gsp.user_spent(7).epsilon, 0.0);
 
-  const auto renewed = gsp.serve_one({7, {4.0, 4.0}, 1.0, 0});
+  const auto renewed = gsp.serve_concurrent({7, {4.0, 4.0}, 1.0, 0});
   EXPECT_EQ(renewed.status, service::ReleaseStatus::kGranted);
   EXPECT_DOUBLE_EQ(gsp.user_spent(7).epsilon, 1.0);
   // The renewal re-created the session: the user is counted twice in
