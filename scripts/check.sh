@@ -17,7 +17,9 @@
 #   4. the scenario-catalog determinism gate: poibench --all --smoke at
 #      --threads 1 and --threads 8 must produce identical stdout (only
 #      the printed thread count is normalized away),
-#   5. a Release-build bench smoke: the micro_core --json suite (through
+#   5. a warning-free Release build: every target of build-release is
+#      rebuilt from clean and any `warning:` line in the log fails the
+#      gate; then a bench smoke: the micro_core --json suite (through
 #      the poibench driver) must run whole and emit parseable JSON
 #      (catches perf harness rot without paying for a full bench run),
 #   6. the kernel-dispatch gate: the tier-1 suite re-runs with
@@ -147,9 +149,16 @@ done
 echo "poibench smoke: $(grep -c '^==== ' "$smoke_t1") scenarios identical at --threads 1/8 (mia_* present)"
 rm -f "$smoke_t1" "$smoke_t8"
 
-echo "== [5/11] Release bench smoke =="
+echo "== [5/11] warning-free Release build + bench smoke =="
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build build-release -j "$jobs" --target poibench
+release_log="$(mktemp)"
+cmake --build build-release -j "$jobs" --clean-first 2>&1 | tee "$release_log"
+if grep 'warning:' "$release_log" >&2; then
+  echo "check.sh: the Release build printed the warnings above" >&2
+  exit 1
+fi
+rm -f "$release_log"
+echo "release build: every target built without a warning"
 smoke_json="$(mktemp)"
 ./build-release/bench/poibench --scenario micro_core \
   --json "$smoke_json" --smoke --threads 1

@@ -5,35 +5,29 @@
 // Three metric kinds, owned by a Registry and handed out as stable
 // references (find-or-create by dotted name, e.g. "parallel.tasks"):
 //
-//   * Counter — monotone; increments go to one of 16 cache-line-padded
-//     relaxed-atomic cells selected by a per-thread slot, so hot-path
-//     `add()` never contends; `value()` sums the cells. Components that
-//     count their own events (ReleaseService, the anchor cache) hold
-//     Counters as plain members and report them through their stats
-//     structs, so each event is counted once, per instance.
+//   * Counter — monotone; one relaxed-atomic word. Components that count
+//     their own events (ReleaseService, the anchor cache) hold Counters as
+//     plain members and report them through their stats structs, so each
+//     event is counted once, per instance.
 //   * Gauge   — a last-write-wins relaxed-atomic level (the pool's queue
 //     depth).
-//   * Histogram — log-bucketed (factor-2 buckets from 1 ns) distribution
-//     with count/sum/min/max, plus *exact* p50/p95/p99: every recorded
-//     value is also appended to a per-thread sample buffer, and at scrape
-//     time the Registry merges the buffers in buffer-registration order
-//     (append order within a buffer), so the merged sample sequence is a
-//     deterministic function of what was recorded. Percentiles use the
-//     same linear-interpolation rule as common::percentiles (rank
-//     q*(n-1), NumPy "linear"). Exact samples are capped at 65536 per
-//     histogram; beyond the cap values still land in the buckets and the
-//     overflow is reported as Snapshot::dropped. Each thread also buffers
-//     at most 65536 samples per histogram: the merge keeps every thread's
-//     append order, so a thread's 65537th sample could never be among the
-//     first 65536 merged. Later ones are refused at record time (counted
-//     in dropped), which bounds buffer memory between scrapes without
-//     changing any kept sample.
+//   * Histogram — count/sum/min/max plus *exact* p50/p95/p99 over the
+//     first 65536 values recorded, all under one mutex. Later values still
+//     count toward count/sum/min/max and are reported as
+//     Snapshot::dropped, so a histogram holds at most 512 KiB of samples.
+//     Percentiles use the same linear-interpolation rule as
+//     common::percentiles (rank q*(n-1), NumPy "linear"). A NaN value
+//     counts toward count and sum but never becomes min or max.
 //
 // `Span` is a scoped wall-clock timer recording into a Histogram on
 // destruction.
 //
 // Determinism contract: instrumentation only observes — it never feeds a
 // value back into released vectors, RNG streams, or evaluation stats.
+// With one recording thread the kept samples are the first 65536 in
+// record order; with several they are the first 65536 to take the lock,
+// which depends on scheduling. Either way they are wall-clock timings
+// that never feed back into results.
 // tests/obs_determinism_test.cpp enforces this by running the service and
 // eval pipelines at --threads 1/2/8 with mid-run scrapes and asserting
 // bit-identical results.
@@ -43,7 +37,6 @@
 // further dependencies).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -70,32 +63,28 @@ struct HistogramSnapshot {
   double p50 = 0.0;
   double p95 = 0.0;
   double p99 = 0.0;
-  /// Samples beyond the exact-percentile cap (bucket counts still include
-  /// them; the percentiles cover the first 65536 merged samples only).
+  /// Values beyond the exact-percentile cap (count/sum/min/max include
+  /// them; the percentiles cover the first 65536 recorded only).
   std::uint64_t dropped = 0;
-  /// (inclusive upper bound, count) per nonzero log bucket, ascending.
-  std::vector<std::pair<double, std::uint64_t>> buckets;
 
   double mean() const noexcept {
     return count ? sum / static_cast<double>(count) : 0.0;
   }
 };
 
-class Registry;
-
 class Counter {
  public:
   Counter() = default;
 
-  void add(std::uint64_t n = 1) noexcept;
-  std::uint64_t value() const noexcept;
+  void add(std::uint64_t n = 1) noexcept {
+    v_.fetch_add(n, std::memory_order_relaxed);
+  }
+  std::uint64_t value() const noexcept {
+    return v_.load(std::memory_order_relaxed);
+  }
 
  private:
-  static constexpr std::size_t kCells = 16;
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> v{0};
-  };
-  std::array<Cell, kCells> cells_;
+  std::atomic<std::uint64_t> v_{0};
 };
 
 class Gauge {
@@ -115,42 +104,23 @@ class Gauge {
 
 class Histogram {
  public:
-  /// Records one value: log bucket + count/sum/min/max (relaxed atomics)
-  /// and the calling thread's sample buffer (for exact percentiles).
+  /// Records one value: count/sum/min/max, and the value itself while
+  /// fewer than 65536 are kept.
   void record(double v) noexcept;
 
-  /// Scrapes the owning registry's thread buffers and summarizes.
-  HistogramSnapshot snapshot();
-
-  std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
+  /// Count/sum/min/max and exact percentiles of what was recorded so far.
+  HistogramSnapshot snapshot() const;
 
  private:
   friend class Registry;
-  explicit Histogram(Registry* owner) noexcept;
+  Histogram() = default;
 
-  // Bucket 0 holds v <= 0; bucket i >= 1 holds (kBase*2^(i-2), kBase*2^(i-1)].
-  static constexpr std::size_t kBuckets = 64;
-  static constexpr double kBase = 1e-9;  ///< first bucket upper bound: 1 ns
-  static std::size_t bucket_of(double v) noexcept;
-  static double bucket_upper_bound(std::size_t bucket) noexcept;
-
-  Registry* owner_;
-  /// Process-unique; keys the per-thread buffered counts, so a histogram
-  /// allocated where a destroyed one lived starts uncapped.
-  std::uint64_t id_;
-  std::array<std::atomic<std::uint64_t>, kBuckets> bucket_counts_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<double> sum_{0.0};
-  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max_{-std::numeric_limits<double>::infinity()};
-  // Merged exact samples; guarded by the registry's mutex (scrape-time
-  // only — the hot path touches per-thread buffers instead).
-  std::vector<double> samples_;
-  std::uint64_t dropped_ = 0;
-  /// Samples refused at record time by the per-thread cap.
-  std::atomic<std::uint64_t> refused_{0};
+  mutable std::mutex mu_;
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
+  double min_ = std::numeric_limits<double>::infinity();
+  double max_ = -std::numeric_limits<double>::infinity();
+  std::vector<double> samples_;  ///< the first 65536 values recorded
 };
 
 /// Scoped wall-clock timer: records elapsed seconds into the histogram
@@ -181,7 +151,6 @@ class Span {
 class Registry {
  public:
   Registry() = default;
-  ~Registry();
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
@@ -202,8 +171,6 @@ class Registry {
   std::string json();
 
  private:
-  friend class Histogram;
-
   struct Entry {
     std::string name;
     std::unique_ptr<Counter> counter;
@@ -211,10 +178,6 @@ class Registry {
     std::unique_ptr<Histogram> histogram;
   };
 
-  /// Drains every live thread buffer (in buffer-registration order) into
-  /// the owned histograms' sample vectors. Called under mu_.
-  void scrape_locked();
-  HistogramSnapshot snapshot_of(Histogram& hist);
   Entry& entry_for(const std::string& name);
 
   mutable std::mutex mu_;

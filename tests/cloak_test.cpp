@@ -120,8 +120,12 @@ TEST_P(CloakKSweep, DepthDecreasesWithK) {
   mean_depth /= trials;
   // With 4000 users over 256 km^2 a k of 2 should cloak much deeper than
   // k of 200; spot-check monotonic envelope via bounds per k.
-  if (GetParam() <= 2) EXPECT_GT(mean_depth, 3.0);
-  if (GetParam() >= 200) EXPECT_LT(mean_depth, 6.0);
+  if (GetParam() <= 2) {
+    EXPECT_GT(mean_depth, 3.0);
+  }
+  if (GetParam() >= 200) {
+    EXPECT_LT(mean_depth, 6.0);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Ks, CloakKSweep,

@@ -11,6 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -187,12 +188,11 @@ TEST_F(FramePipe, RoundTripsBodiesIncludingEmpty) {
 
 TEST_F(FramePipe, SurvivesDribbledPartialWrites) {
   const std::vector<std::uint8_t> payload(300, 0xab);
-  std::vector<std::uint8_t> wire;
-  wire.push_back(static_cast<std::uint8_t>(payload.size()));
-  wire.push_back(static_cast<std::uint8_t>(payload.size() >> 8));
-  wire.push_back(0);
-  wire.push_back(0);
-  wire.insert(wire.end(), payload.begin(), payload.end());
+  // [u32 LE length][payload], written in place.
+  std::vector<std::uint8_t> wire(4 + payload.size(), 0);
+  wire[0] = static_cast<std::uint8_t>(payload.size());
+  wire[1] = static_cast<std::uint8_t>(payload.size() >> 8);
+  std::copy(payload.begin(), payload.end(), wire.begin() + 4);
   // Drip the frame through the socket a few bytes at a time so every
   // read in read_frame comes back short.
   std::thread writer([&] {

@@ -1,9 +1,10 @@
 // The observability layer's core contract: instrumentation only observes.
 // Running the serving and evaluation pipelines with metrics enabled — and
-// scraping the global registry mid-run, which merges thread sample
-// buffers — must leave every released vector, status, and evaluation stat
-// bit-identical across --threads 1/2/8. Labelled `tsan` so the same
-// scenario runs under ThreadSanitizer (concurrent record() vs scrape).
+// scraping the global registry mid-run, which copies and sorts each
+// histogram's samples — must leave every released vector, status, and
+// evaluation stat bit-identical across --threads 1/2/8. Labelled `tsan` so
+// the same scenario runs under ThreadSanitizer (concurrent record() vs
+// scrape).
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -1,8 +1,8 @@
 // The obs metrics layer's own contracts: counters sum across threads,
 // histograms survive the empty/single/all-equal edge cases without NaN,
-// exact percentiles agree with common::percentiles, the per-thread sample
-// cap keeps exactly the samples the uncapped merge would keep, and the
-// registry hands out stable handles and renders in registration order.
+// exact percentiles agree with common::percentiles, the sample cap keeps
+// the first values recorded while count/sum/min/max cover every one, and
+// the registry hands out stable handles and renders in registration order.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,6 +10,7 @@
 #include <cmath>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -76,7 +77,6 @@ TEST(Histogram, EmptySnapshotIsAllZeroNoNaN) {
   EXPECT_EQ(snap.p95, 0.0);
   EXPECT_EQ(snap.p99, 0.0);
   EXPECT_EQ(snap.dropped, 0u);
-  EXPECT_TRUE(snap.buckets.empty());
   EXPECT_FALSE(std::isnan(snap.mean()));
   EXPECT_EQ(snap.mean(), 0.0);
 }
@@ -107,13 +107,9 @@ TEST(Histogram, AllEqualValues) {
   EXPECT_DOUBLE_EQ(snap.p50, 3.0);
   EXPECT_DOUBLE_EQ(snap.p95, 3.0);
   EXPECT_DOUBLE_EQ(snap.p99, 3.0);
-  // Every identical value lands in the same log bucket.
-  ASSERT_EQ(snap.buckets.size(), 1u);
-  EXPECT_EQ(snap.buckets[0].second, 100u);
-  EXPECT_GE(snap.buckets[0].first, 3.0);
 }
 
-TEST(Histogram, ZeroAndNegativeValuesLandInUnderflowBucket) {
+TEST(Histogram, ZeroAndNegativeValues) {
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
   hist.record(0.0);
@@ -123,8 +119,6 @@ TEST(Histogram, ZeroAndNegativeValuesLandInUnderflowBucket) {
   EXPECT_DOUBLE_EQ(snap.min, -1.0);
   EXPECT_DOUBLE_EQ(snap.max, 0.0);
   EXPECT_DOUBLE_EQ(snap.p50, -0.5);  // linear interpolation between the two
-  ASSERT_EQ(snap.buckets.size(), 1u);
-  EXPECT_EQ(snap.buckets[0].second, 2u);
 }
 
 TEST(Histogram, ExactPercentilesMatchCommonPercentiles) {
@@ -156,36 +150,44 @@ TEST(Histogram, SnapshotIsCumulativeAcrossScrapes) {
   EXPECT_DOUBLE_EQ(snap.p50, 1.5);
 }
 
-TEST(Histogram, SamplesBeyondCapAreDroppedButStillBucketed) {
+TEST(Histogram, SamplesBeyondCapAreDroppedButStillCounted) {
   obs::Registry registry;
   obs::Histogram& hist = registry.histogram("h");
-  constexpr std::uint64_t kTotal = 70000;  // cap is 65536
-  for (std::uint64_t i = 0; i < kTotal; ++i) hist.record(1.0);
+  constexpr std::uint64_t kCap = 65536;
+  constexpr std::uint64_t kTotal = 70000;
+  // The kept samples are all 1.0; only the dropped ones hold the extremes,
+  // so sum, min and max must have seen every value.
+  double sum = 0.0;
+  for (std::uint64_t i = 0; i < kTotal; ++i) {
+    const double v = i < kCap ? 1.0 : (i % 2 == 0 ? 0.5 : 4.0);
+    hist.record(v);
+    sum += v;
+  }
   const obs::HistogramSnapshot snap = hist.snapshot();
   EXPECT_EQ(snap.count, kTotal);
-  EXPECT_EQ(snap.dropped, kTotal - 65536);
-  std::uint64_t bucketed = 0;
-  for (const auto& [bound, count] : snap.buckets) bucketed += count;
-  EXPECT_EQ(bucketed, kTotal);
+  EXPECT_EQ(snap.dropped, kTotal - kCap);
+  EXPECT_EQ(snap.sum, sum);
+  EXPECT_EQ(snap.min, 0.5);
+  EXPECT_EQ(snap.max, 4.0);
   EXPECT_DOUBLE_EQ(snap.p50, 1.0);
+  EXPECT_DOUBLE_EQ(snap.p99, 1.0);
 }
 
-/// The merge rule the per-thread cap must preserve: concatenate each
-/// thread's samples in buffer-registration order and keep the first 65536.
-std::vector<double> first_merged(const std::vector<std::vector<double>>& runs) {
-  std::vector<double> merged;
+/// The first 65536 values of `runs` concatenated in order.
+std::vector<double> first_kept(const std::vector<std::vector<double>>& runs) {
+  std::vector<double> kept;
   for (const std::vector<double>& run : runs) {
     for (const double v : run) {
-      if (merged.size() == 65536) return merged;
-      merged.push_back(v);
+      if (kept.size() == 65536) return kept;
+      kept.push_back(v);
     }
   }
-  return merged;
+  return kept;
 }
 
-TEST(Histogram, PerThreadCapKeepsTheMergedSamplesOfTwoThreads) {
-  // (first thread, second thread) sample counts: both past the cap, and
-  // one under it with the other past it. Nothing scrapes until both join.
+TEST(Histogram, CapKeepsTheFirstRecordedSamples) {
+  // Two threads, one after the other: (first, second) sample counts both
+  // past the cap, and one under it with the other past it.
   for (const auto& [n_first, n_second] :
        {std::pair<std::size_t, std::size_t>{70000, 70000}, {30000, 70000}}) {
     obs::Registry registry;
@@ -197,40 +199,71 @@ TEST(Histogram, PerThreadCapKeepsTheMergedSamplesOfTwoThreads) {
     // order statistic, so the percentiles pin exactly which were kept.
     for (std::size_t i = 0; i < n_first; ++i) first[i] = 1000.0 + i;
     for (std::size_t i = 0; i < n_second; ++i) second[i] = 0.01 * i;
-    // The second thread starts recording only after the first recorded
-    // once, so the first thread's buffer is registered (and merged) first.
-    std::atomic<bool> first_registered{false};
-    std::thread a([&] {
-      hist.record(first[0]);
-      first_registered.store(true, std::memory_order_release);
-      for (std::size_t i = 1; i < first.size(); ++i) hist.record(first[i]);
-    });
-    std::thread b([&] {
-      while (!first_registered.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
+    std::thread([&] {
+      for (const double v : first) hist.record(v);
+    }).join();
+    std::thread([&] {
       for (const double v : second) hist.record(v);
-    });
-    a.join();
-    b.join();
-    const std::vector<double> kept = first_merged({first, second});
-    const common::Percentiles expected = common::percentiles(kept);
+    }).join();
+    const common::Percentiles expected =
+        common::percentiles(first_kept({first, second}));
     const obs::HistogramSnapshot snap = hist.snapshot();
     EXPECT_EQ(snap.count, n_first + n_second);
-    EXPECT_EQ(snap.dropped, n_first + n_second - kept.size());
+    EXPECT_EQ(snap.dropped, n_first + n_second - 65536);
     EXPECT_DOUBLE_EQ(snap.p50, expected.p50);
     EXPECT_DOUBLE_EQ(snap.p95, expected.p95);
     EXPECT_DOUBLE_EQ(snap.p99, expected.p99);
-    std::uint64_t bucketed = 0;
-    for (const auto& [bound, count] : snap.buckets) bucketed += count;
-    EXPECT_EQ(bucketed, n_first + n_second);
   }
+
+  // Eight concurrent recorders below the cap, scraped all the while by a
+  // ninth thread. Integer values make the sum exact in any order.
+  obs::Registry registry;
+  obs::Histogram& hist = registry.histogram("h");
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kPerThread = 5000;
+  std::vector<double> all;
+  for (std::size_t i = 0; i < kThreads * kPerThread; ++i) {
+    all.push_back(static_cast<double>((i * 7919) % 10007));
+  }
+  std::atomic<bool> done{false};
+  std::thread scraper([&] {
+    std::uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const obs::HistogramSnapshot snap = hist.snapshot();
+      EXPECT_GE(snap.count, last);
+      EXPECT_EQ(snap.dropped, 0u);
+      last = snap.count;
+      EXPECT_NE(registry.json().find("\"h\""), std::string::npos);
+    }
+  });
+  std::vector<std::thread> recorders;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    recorders.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        hist.record(all[t * kPerThread + i]);
+      }
+    });
+  }
+  for (std::thread& recorder : recorders) recorder.join();
+  done.store(true, std::memory_order_release);
+  scraper.join();
+  double sum = 0.0;
+  for (const double v : all) sum += v;
+  const common::Percentiles expected = common::percentiles(all);
+  const obs::HistogramSnapshot snap = hist.snapshot();
+  EXPECT_EQ(snap.count, all.size());
+  EXPECT_EQ(snap.dropped, 0u);
+  EXPECT_EQ(snap.sum, sum);
+  EXPECT_EQ(snap.min, common::min_of(all));
+  EXPECT_EQ(snap.max, common::max_of(all));
+  EXPECT_DOUBLE_EQ(snap.p50, expected.p50);
+  EXPECT_DOUBLE_EQ(snap.p95, expected.p95);
+  EXPECT_DOUBLE_EQ(snap.p99, expected.p99);
 }
 
 TEST(Histogram, RecreatedHistogramStartsUncapped) {
-  // The per-thread count is keyed by a process-unique histogram id, so a
-  // histogram built where a capped one lived (typically the same address
-  // here) does not inherit its count.
+  // A histogram built where a capped one lived (typically the same
+  // address here) does not inherit its samples or its count.
   std::optional<obs::Registry> registry;
   registry.emplace();
   obs::Histogram& capped = registry->histogram("h");

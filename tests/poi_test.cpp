@@ -94,7 +94,9 @@ TEST(Database, InfrequencyRankIsPermutationConsistentWithCounts) {
   }
   for (TypeId a = 0; a < cf.size(); ++a) {
     for (TypeId b = 0; b < cf.size(); ++b) {
-      if (cf[a] < cf[b]) EXPECT_LT(rank[a], rank[b]);
+      if (cf[a] < cf[b]) {
+        EXPECT_LT(rank[a], rank[b]);
+      }
     }
   }
 }
@@ -371,7 +373,9 @@ TEST(Database, TypesWithCityFreqAtMostThreshold) {
   // Complement check.
   std::set<TypeId> rare_set(rare.begin(), rare.end());
   for (TypeId t = 0; t < city.db.num_types(); ++t) {
-    if (!rare_set.count(t)) EXPECT_GT(city.db.city_freq()[t], 10);
+    if (!rare_set.count(t)) {
+      EXPECT_GT(city.db.city_freq()[t], 10);
+    }
   }
 }
 

@@ -300,7 +300,9 @@ TEST(RegionReidProperty, PlantedCorpusReachesTheLastLaneAndMixedMasks) {
     }
     EXPECT_GT(planted_pivot, 50u) << city->name;
     EXPECT_GT(last_lane, 0u) << city->name;
-    if (n > 1) EXPECT_GT(mixed, 0u) << city->name;
+    if (n > 1) {
+      EXPECT_GT(mixed, 0u) << city->name;
+    }
   }
 }
 

@@ -474,7 +474,9 @@ void check_compute_aggregate(const poi::City& city) {
         ASSERT_TRUE(same_bits(got.sum, want.sum));
         ASSERT_TRUE(same_bits(got.sensitivity, want.sensitivity));
         ASSERT_EQ(got.support, want.support);
-        if (seed % 5 == 4) ASSERT_TRUE(got.support.empty());
+        if (seed % 5 == 4) {
+          ASSERT_TRUE(got.support.empty());
+        }
       }
     }
   }
