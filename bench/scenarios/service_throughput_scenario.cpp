@@ -70,9 +70,10 @@ std::uint64_t release_allocations(const service::ReleaseService& gsp,
   for (std::uint64_t call = 0; call <= kReleaseAllocCalls; ++call) {
     common::Rng rng = noise_base.substream(call);
     const std::uint64_t before = common::thread_allocation_count();
-    const poi::FrequencyVector release = defense::noised_release(
-        aggregate.sum, aggregate.sensitivity, aggregate.support, aggregate.k,
-        policy, db.infrequency_rank(), db.rare_type_count(), rng);
+    const poi::FrequencyVector release =
+        defense::noised_release(aggregate.support, aggregate.k, policy,
+                                db.infrequency_rank(), db.rare_type_count(),
+                                rng);
     if (call > 0) allocs += common::thread_allocation_count() - before;
   }
   return allocs;

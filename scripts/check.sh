@@ -31,7 +31,9 @@
 #   7. an Address+UB-Sanitizer build (float-cast-overflow included)
 #      running the kernel, fingerprint, tile-window, spatial, cloak,
 #      release, linkage and region re-id property suites and the service
-#      suite under both the native and the scalar tier (the explicit SIMD
+#      and mia suites under both the native and the scalar tier (the
+#      stream releases of both round Laplace-noised counts to int32, which
+#      their tiny-epsilon tests drive past INT32_MAX; the explicit SIMD
 #      kernels read memory in 32-byte gulps, the quadtree's exact-node
 #      descent indexes children by hand, the release rounding casts
 #      doubles to integers, the grid index casts query coordinates to
@@ -67,7 +69,10 @@
 #      listed metric, and a corrupted digest is caught), and a short
 #      traced serve_batch_hot run must report "correct": true — its
 #      shadow serving pipeline reproduces every ReleaseService result bit
-#      for bit.
+#      for bit; then untraced 1 s runs must reproduce the pinned
+#      outputs: serve_batch_hot's digest_round0 at seeds 1/7/11/23 and
+#      attack_linkage's unique_final/correct_final at seeds 7/11/23 (any
+#      change to a released byte or to the attack shows here).
 #
 # Usage: scripts/check.sh [jobs]   (default: nproc)
 set -euo pipefail
@@ -185,12 +190,12 @@ for threads in 1 2 8; do
   echo "poibench smoke: scalar == native tier at --threads $threads"
 done
 
-echo "== [7/11] ASan/UBSan build + kernel/spatial/cloak/linkage/re-id/service suites per tier =="
+echo "== [7/11] ASan/UBSan build + kernel/spatial/cloak/linkage/re-id/service/mia suites per tier =="
 cmake -B build-asan -S . -DPOIPRIVACY_SANITIZE=address >/dev/null
 asan_suites=(kernel_property_test fingerprint_property_test
              tile_window_property_test spatial_property_test
              cloak_property_test release_property_test service_test
-             linkage_property_test region_reid_property_test)
+             mia_test linkage_property_test region_reid_property_test)
 cmake --build build-asan -j "$jobs" --target "${asan_suites[@]}"
 for tier in native scalar; do
   env_prefix=()
@@ -331,5 +336,31 @@ print('perfbench: smoke pass; traced serve_batch_hot correct,',
       result['metrics']['defense.postprocess.us_per_op']['value'])
 "
 rm -f "$perf_smoke" "$perf_traced"
+python3 - <<'PY'
+import json
+import subprocess
+
+# (workload, seed, pinned provenance fields)
+pins = [
+    ("serve_batch_hot", 1, {"digest_round0": "0272d1c08fc1b8ef"}),
+    ("serve_batch_hot", 7, {"digest_round0": "a563888af3697abd"}),
+    ("serve_batch_hot", 11, {"digest_round0": "8ae753e159fa1181"}),
+    ("serve_batch_hot", 23, {"digest_round0": "a00889389300e725"}),
+    ("attack_linkage", 7, {"unique_final": 1208, "correct_final": 1202}),
+    ("attack_linkage", 11, {"unique_final": 1150, "correct_final": 1144}),
+    ("attack_linkage", 23, {"unique_final": 1154, "correct_final": 1145}),
+]
+for workload, seed, want in pins:
+    out = subprocess.run(
+        ["python3", "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", "1"],
+        capture_output=True, text=True, check=True).stdout
+    lines = out.strip().splitlines()
+    provenance = json.loads(lines[-2])["provenance"]
+    assert json.loads(lines[-1])["correct"] is True, (workload, seed)
+    got = {key: provenance.get(key) for key in want}
+    assert got == want, (workload, seed, got, want)
+    print("perfbench pin:", workload, "seed", seed, got)
+PY
 
 echo "check.sh: all gates passed"

@@ -79,47 +79,33 @@ struct DpDefenseConfig {
   std::int32_t max_injection = 0;
 };
 
-/// The Eq. (8) noised mean shared by DpDefense and the serving layer:
-/// per type i, sum[i] plus noise calibrated to sensitivity[i] (none where
-/// it is 0), divided by k. Gaussian noise uses Definition 2's sigma;
-/// geometric noise perturbs the rounded sum. (eps, delta) are validated
-/// once per call: throws std::invalid_argument if they are ill-formed for
-/// `policy.noise`. The dense form of noised_release's noise: both run one
-/// noising loop, in ascending type order.
-std::vector<double> noise_aggregate(std::span<const double> sum,
-                                    std::span<const double> sensitivity,
-                                    std::size_t k,
-                                    const DpDefenseConfig& policy,
-                                    common::Rng& rng);
-
-/// Step (2) over a drawn dummy set: per type i, sum[i] = sum_d F_d[i]
-/// and sensitivity[i] = Delta_i = max_d F_d[i], both as doubles, plus the
-/// aggregate's support: the ascending types with sum[i] != 0. Counts are
-/// nonnegative, so that is also where Delta_i > 0, and off the support
-/// the noised mean is a draw-free +-0 and the release entry is 0
-/// (DESIGN.md 4e, Phase F). The folds are exact int32 sums and maxima
-/// (PoiDatabase::freq_sum_max), converted once; every partial sum of a
-/// double fold would be an exact integer below 2^31, so the result is
-/// bit-identical to one. All three outputs are overwritten. Throws
+/// Step (2) over a drawn dummy set: the aggregate's support, one
+/// (type, sum, max) entry per type i with sum_i = sum_d F_d[i] != 0, in
+/// ascending type order, where max_i = Delta_i = max_d F_d[i] is the
+/// type's sensitivity. Counts are nonnegative, so the support is also
+/// exactly where Delta_i > 0; off it the noised mean is a draw-free +0
+/// and the release entry is 0 (DESIGN.md 4e, Phase D). The sums and
+/// maxima are the exact int32 folds of PoiDatabase::freq_sum_max, taken
+/// in one pass over the m types; nothing dense is written. `support` is
+/// overwritten; when it starts empty it ends at exactly its size. Throws
 /// std::invalid_argument if dummies.size() > db.max_fold_centers().
 void aggregate_dummies(const poi::PoiDatabase& db,
                        std::span<const geo::Point> dummies, double r,
-                       std::vector<double>& sum,
-                       std::vector<double>& sensitivity,
-                       std::vector<poi::TypeId>& support);
+                       std::vector<poi::TypeSumMax>& support);
 
-/// One private release, Eq. (8) then Eq. (9), touching only `support`
-/// (the ascending types with sum[i] != 0 or sensitivity[i] > 0; every
-/// other type must have both zero): the noise draws run over the support
-/// in ascending order, the Eq. (9) greedy over the support's candidates
-/// (plus the zero types of rank <= max_rank when max_injection > 0).
-/// Byte-identical to opt::greedy_release(noise_aggregate(sum,
-/// sensitivity, k, policy, rng), rank, policy.beta, policy.max_injection,
-/// max_rank), and leaves `rng` in the same state. The returned vector is
-/// the only steady-state heap allocation.
-poi::FrequencyVector noised_release(std::span<const double> sum,
-                                    std::span<const double> sensitivity,
-                                    std::span<const poi::TypeId> support,
+/// One private release over an aggregate's support, Eq. (8) then Eq. (9):
+/// per support type i (ascending), sum_i plus noise calibrated to
+/// max_i (none where it is 0), divided by k, then the Eq. (9) greedy over
+/// the support's candidates (plus the zero types of rank <= max_rank when
+/// max_injection > 0). Every type off `support` must have sum = max = 0;
+/// the release has rank.size() types. Gaussian noise uses Definition 2's
+/// sigma; geometric noise perturbs the integer sum. (eps, delta) are
+/// validated once per call: throws std::invalid_argument if they are
+/// ill-formed for `policy.noise`. Byte-identical to noising the dense
+/// double aggregate type by type and running opt::greedy_release on the
+/// dense mean, and leaves `rng` in the same state. The returned vector
+/// is the only steady-state heap allocation.
+poi::FrequencyVector noised_release(std::span<const poi::TypeSumMax> support,
                                     std::size_t k,
                                     const DpDefenseConfig& policy,
                                     std::span<const int> rank, int max_rank,
@@ -136,7 +122,9 @@ class DpDefense {
   poi::FrequencyVector release(geo::Point location, double r,
                                common::Rng& rng) const;
 
-  /// The intermediate noised mean F*_D (exposed for tests/inspection).
+  /// The intermediate noised mean F*_D, dense over the database's types
+  /// (exposed for tests/inspection): noised_release's Eq. (8) draws,
+  /// +0 off the support.
   std::vector<double> noised_mean(geo::Point location, double r,
                                   common::Rng& rng) const;
 
@@ -144,11 +132,10 @@ class DpDefense {
 
  private:
   /// Draws the k dummies around `location` and fills their
-  /// aggregate_dummies outputs; returns k.
+  /// aggregate_dummies support; returns k.
   std::size_t dummy_aggregate(geo::Point location, double r,
-                              common::Rng& rng, std::vector<double>& sum,
-                              std::vector<double>& sensitivity,
-                              std::vector<poi::TypeId>& support) const;
+                              common::Rng& rng,
+                              std::vector<poi::TypeSumMax>& support) const;
 
   const poi::PoiDatabase* db_;
   const cloak::AdaptiveIntervalCloaker* cloaker_;

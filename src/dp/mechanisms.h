@@ -9,6 +9,10 @@
 //     angle uniform.
 #pragma once
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "common/rng.h"
 #include "geo/geometry.h"
 
@@ -31,6 +35,18 @@ class LaplaceMechanism {
  private:
   double scale_;
 };
+
+/// A Laplace-noised count as a release entry: rounded half away from
+/// zero and saturated to [0, INT32_MAX] (NaN gives 0). A tiny epsilon
+/// makes the Laplace scale huge (4e9 at eps = 1e-9, sensitivity 4), so a
+/// draw can leave int32, where a plain cast is undefined.
+inline std::int32_t noised_count(double noised) noexcept {
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  const double rounded = std::round(noised);
+  if (!(rounded > 0.0)) return 0;
+  if (rounded >= static_cast<double>(kMax)) return kMax;
+  return static_cast<std::int32_t>(rounded);
+}
 
 class GaussianMechanism {
  public:

@@ -136,7 +136,7 @@ poi::FrequencyVector greedy_release(std::span<const double> base,
   return release;
 }
 
-void greedy_release_sparse(std::span<const poi::TypeId> support,
+void greedy_release_sparse(std::span<const poi::TypeSumMax> support,
                            std::span<const double> support_base,
                            std::span<const int> rank, double beta,
                            std::int32_t max_injection, int max_rank,
@@ -148,7 +148,9 @@ void greedy_release_sparse(std::span<const poi::TypeId> support,
   }
   greedy_solve(
       support.size(),
-      [support](std::size_t j) { return static_cast<std::size_t>(support[j]); },
+      [support](std::size_t j) {
+        return static_cast<std::size_t>(support[j].type);
+      },
       [support_base](std::size_t j) { return support_base[j]; }, rank, beta,
       max_injection, max_rank, release);
 }

@@ -87,14 +87,15 @@ poi::FrequencyVector greedy_release(std::span<const double> base,
                                     std::int32_t max_injection, int max_rank);
 
 /// greedy_release for an m-type base that is 0 outside `support`: the
-/// ascending type ids support[j] carry base entries support_base[j].
+/// ascending types support[j].type carry base entries support_base[j]
+/// (the entries' sums and maxima are not read).
 /// `release` holds m zeros on entry and the release on return. Runs the
 /// same greedy as greedy_release over the same candidates, so the result
 /// is byte-identical to greedy_release on the dense base. The work is
 /// O(|support|) unless max_injection > 0, which also makes every zero
 /// type of rank <= max_rank a candidate. Candidates live in a per-thread
 /// buffer, so a steady-state call allocates nothing.
-void greedy_release_sparse(std::span<const poi::TypeId> support,
+void greedy_release_sparse(std::span<const poi::TypeSumMax> support,
                            std::span<const double> support_base,
                            std::span<const int> rank, double beta,
                            std::int32_t max_injection, int max_rank,

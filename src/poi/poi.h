@@ -20,6 +20,18 @@ struct Poi {
   geo::Point pos;
 };
 
+/// One type of a sparse count aggregate over several locations (the DP
+/// defense's step (2)): the sum of the locations' counts of `type` and
+/// their maximum. An aggregate lists its support in ascending type order;
+/// every type it leaves out has sum = max = 0.
+struct TypeSumMax {
+  TypeId type = 0;
+  std::int32_t sum = 0;
+  std::int32_t max = 0;
+
+  friend bool operator==(const TypeSumMax&, const TypeSumMax&) = default;
+};
+
 /// Registry of POI type names. Type ids are dense indices [0, size).
 class PoiTypeRegistry {
  public:

@@ -47,16 +47,16 @@ ReleaseCache::ReleaseCache(ReleaseCacheConfig config) : config_(config) {
   shards_ = std::vector<Shard>(n);
 }
 
-ReleaseCache::Shard& ReleaseCache::shard_for(
-    const ReleaseCacheKey& key) const {
-  return shards_[hash(key) % shards_.size()];
+ReleaseCache::Shard& ReleaseCache::shard_for(const HashedKey& key) const {
+  return shards_[key.hash % shards_.size()];
 }
 
 std::shared_ptr<const CloakAggregate> ReleaseCache::get(
     const ReleaseCacheKey& key) {
-  Shard& shard = shard_for(key);
+  const HashedKey hk{key, hash(key)};
+  Shard& shard = shard_for(hk);
   const std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.index.find(key);
+  const auto it = shard.index.find(hk);
   if (it == shard.index.end()) return nullptr;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   it->second->touch_epoch = epoch_.load(std::memory_order_relaxed);
@@ -66,18 +66,19 @@ std::shared_ptr<const CloakAggregate> ReleaseCache::get(
 
 void ReleaseCache::put(const ReleaseCacheKey& key,
                        std::shared_ptr<const CloakAggregate> value) {
-  Shard& shard = shard_for(key);
+  const HashedKey hk{key, hash(key)};
+  Shard& shard = shard_for(hk);
   const std::lock_guard<std::mutex> lock(shard.mu);
   const std::uint64_t now = epoch_.load(std::memory_order_relaxed);
-  if (const auto it = shard.index.find(key); it != shard.index.end()) {
+  if (const auto it = shard.index.find(hk); it != shard.index.end()) {
     it->second->value = std::move(value);
     it->second->touch_epoch = now;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
   ++shard.misses;
-  shard.lru.push_front({key, std::move(value), now});
-  shard.index.emplace(key, shard.lru.begin());
+  shard.lru.push_front({hk, std::move(value), now});
+  shard.index.emplace(hk, shard.lru.begin());
   if (shard.lru.size() > shard_capacity_) {
     shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();

@@ -6,7 +6,11 @@
 //   (2) average the frequency vectors of k dummy locations in it,
 //   (3) add per-dimension noise and post-process (Eq. 8-9).
 // Step (2) costs k range queries over the POI database; step (3) costs
-// O(|support|), the types the k dummies saw at all. The cache keys step
+// O(|support|), the types the k dummies saw at all. The cached value of
+// step (2) is that support alone: one exact-size block of (type, sum,
+// max) int32 entries (~30 of the 177 Beijing types at k = 16, r = 1 km),
+// not dense per-type vectors, so a resident entry costs a few hundred
+// bytes (DESIGN.md 4e, Phase D). The cache keys step
 // (2) on (cloaked region, radius, policy): the canonical dummy set is
 // drawn from the region itself with an RNG derived from the key (see
 // ReleaseService), so the aggregate is a pure function of the key and
@@ -29,6 +33,10 @@
 //     list, so a sweep pops from the tail and costs O(evicted).
 // Either way an evicted aggregate is only ever *recomputed* — it is a
 // pure function of its key, so eviction never changes a released vector.
+//
+// Each get/put hashes its key once: the hash picks the shard and is
+// stored beside the key in the index and the LRU entry, so the index's
+// bucket walks and the eviction's erase reuse it.
 //
 // Thread safety: every operation locks its shard, so concurrent use is
 // safe. Determinism of the hit/miss/eviction counters, however, is the
@@ -75,19 +83,21 @@ struct ReleaseCacheKey {
                          const ReleaseCacheKey&) = default;
 };
 
-/// The cached step-(2) result: per-type sums and sensitivities over the
-/// region's k canonical dummy locations (sensitivity_i = max_d F_d[i],
-/// the Gaussian mechanism's per-dimension calibration), plus their
-/// support (defense::aggregate_dummies: the ascending types with
-/// sum != 0, which for counts is also where sensitivity > 0), built once
-/// per miss so every hit noises and post-processes only those types.
-/// Stream blocks (key kind 1) reuse the container: `sum` holds the raw
-/// window-major per-series counts, `sensitivity` the single stream
-/// sensitivity, `k` the series count, and `support` stays empty.
+/// A cached release computation; which fields it uses depends on the
+/// key's kind.
+///   * Kind 0 (cloak aggregate, the step-(2) result): `support` lists,
+///     in ascending type order, every type the region's k canonical
+///     dummies saw, with sum = sum_d F_d[i] and max = Delta_i =
+///     max_d F_d[i] (the per-dimension calibration of Eq. 8); every
+///     other type has both zero (defense::aggregate_dummies). The block
+///     is exactly sized; `sum` and `sensitivity` stay empty.
+///   * Kind 1 (stream block): `sum` holds the raw window-major
+///     per-series counts, `sensitivity` the single stream sensitivity,
+///     `k` the series count, and `support` stays empty.
 struct CloakAggregate {
-  std::vector<double> sum;
-  std::vector<double> sensitivity;
-  std::vector<poi::TypeId> support;
+  std::vector<double> sum;               ///< kind 1 only
+  std::vector<double> sensitivity;       ///< kind 1 only
+  std::vector<poi::TypeSumMax> support;  ///< kind 0 only
   std::size_t k = 0;
 };
 
@@ -153,20 +163,29 @@ class ReleaseCache {
   static std::uint64_t hash(const ReleaseCacheKey& key) noexcept;
 
  private:
-  struct Entry {
+  /// A key with its hash(), computed once per get/put.
+  struct HashedKey {
     ReleaseCacheKey key;
+    std::uint64_t hash = 0;
+
+    friend bool operator==(const HashedKey& a, const HashedKey& b) noexcept {
+      return a.hash == b.hash && a.key == b.key;
+    }
+  };
+  struct StoredHash {
+    std::size_t operator()(const HashedKey& key) const noexcept {
+      return static_cast<std::size_t>(key.hash);
+    }
+  };
+  struct Entry {
+    HashedKey key;
     std::shared_ptr<const CloakAggregate> value;
     std::uint64_t touch_epoch = 0;
-  };
-  struct KeyHash {
-    std::size_t operator()(const ReleaseCacheKey& key) const noexcept {
-      return static_cast<std::size_t>(hash(key));
-    }
   };
   struct Shard {
     mutable std::mutex mu;
     std::list<Entry> lru;  ///< front = most recently used
-    std::unordered_map<ReleaseCacheKey, std::list<Entry>::iterator, KeyHash>
+    std::unordered_map<HashedKey, std::list<Entry>::iterator, StoredHash>
         index;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -174,7 +193,7 @@ class ReleaseCache {
     std::uint64_t evictions_ttl = 0;
   };
 
-  Shard& shard_for(const ReleaseCacheKey& key) const;
+  Shard& shard_for(const HashedKey& key) const;
 
   ReleaseCacheConfig config_;
   std::size_t shard_capacity_;

@@ -213,16 +213,14 @@ CloakAggregate ReleaseService::compute_aggregate(
       key.region, config_.policies[key.policy].release.k, rng);
   CloakAggregate aggregate;
   aggregate.k = dummies.size();
-  defense::aggregate_dummies(*db_, dummies, key.radius, aggregate.sum,
-                             aggregate.sensitivity, aggregate.support);
+  defense::aggregate_dummies(*db_, dummies, key.radius, aggregate.support);
   return aggregate;
 }
 
 poi::FrequencyVector ReleaseService::noised_release(
     const defense::DpDefenseConfig& policy, const CloakAggregate& aggregate,
     common::Rng& rng) const {
-  return defense::noised_release(aggregate.sum, aggregate.sensitivity,
-                                 aggregate.support, aggregate.k, policy,
+  return defense::noised_release(aggregate.support, aggregate.k, policy,
                                  db_->infrequency_rank(),
                                  db_->rare_type_count(), rng);
 }
@@ -458,7 +456,7 @@ ReleaseResult ReleaseService::serve_stream(const StreamRequest& request) {
   }
   // Per-request noise: one Laplace draw per window for the requested
   // series, window-ascending (mirrors mia/stream_release: rounded,
-  // clamped at zero).
+  // saturated to [0, INT32_MAX]).
   const defense::DpDefenseConfig& policy =
       config_.policies[request.policy].release;
   const dp::LaplaceMechanism laplace(policy.epsilon, block->sensitivity[0]);
@@ -468,8 +466,7 @@ ReleaseResult ReleaseService::serve_stream(const StreamRequest& request) {
   for (std::size_t w = 0; w < windows; ++w) {
     const double noised =
         laplace.perturb(block->sum[w * stride + request.series], rng);
-    out.vector[w] =
-        static_cast<std::int32_t>(std::max(0.0, std::round(noised)));
+    out.vector[w] = dp::noised_count(noised);
   }
   return out;
 }

@@ -272,8 +272,8 @@ class ReleaseService {
 
   const ServiceConfig& config() const noexcept { return config_; }
 
-  /// The aggregate the cache holds for a kind-0 `key`: the sums,
-  /// sensitivities and support over the key region's k canonical dummies.
+  /// The aggregate the cache holds for a kind-0 `key`: the support's
+  /// (type, sum, max) entries over the key region's k canonical dummies.
   /// A pure function of the key (the dummy draw seeds from its hash), so
   /// recomputing it anywhere reproduces the cached value bit for bit.
   CloakAggregate compute_aggregate(const ReleaseCacheKey& key) const;

@@ -1,4 +1,6 @@
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -26,6 +28,21 @@ TEST(Laplace, NoiseIsCenteredWithCorrectVariance) {
   for (int i = 0; i < 60000; ++i) stats.add(mech.perturb(10.0, rng));
   EXPECT_NEAR(stats.mean(), 10.0, 0.05);
   EXPECT_NEAR(stats.variance(), 2.0, 0.1);  // Var Laplace(1) = 2
+}
+
+TEST(Laplace, NoisedCountRoundsAndSaturates) {
+  constexpr std::int32_t kMax = std::numeric_limits<std::int32_t>::max();
+  EXPECT_EQ(dp::noised_count(2.4), 2);
+  EXPECT_EQ(dp::noised_count(2.5), 3);  // half away from zero
+  EXPECT_EQ(dp::noised_count(-0.4), 0);
+  EXPECT_EQ(dp::noised_count(-7.0), 0);
+  EXPECT_EQ(dp::noised_count(2147483646.4), kMax - 1);
+  EXPECT_EQ(dp::noised_count(2147483646.5), kMax);
+  EXPECT_EQ(dp::noised_count(2.33715e9), kMax);
+  EXPECT_EQ(dp::noised_count(1e300), kMax);
+  EXPECT_EQ(dp::noised_count(std::numeric_limits<double>::infinity()), kMax);
+  EXPECT_EQ(dp::noised_count(-std::numeric_limits<double>::infinity()), 0);
+  EXPECT_EQ(dp::noised_count(std::numeric_limits<double>::quiet_NaN()), 0);
 }
 
 TEST(Gaussian, CalibratedSigmaMatchesDefinitionTwo) {

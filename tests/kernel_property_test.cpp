@@ -6,7 +6,9 @@
 //     edge shapes the kernels special-case: empty vectors, length 1, odd
 //     lengths, all-zero rows, and saturating INT32_MAX counts;
 //   * PoiDatabase::freq_sum_max (Phase D; candidate-major on the AVX2
-//     tier) against the centre-by-centre scan on every tier: k from 0 to
+//     tier) and the (type, sum, max) support entries
+//     defense::aggregate_dummies builds from it against the
+//     centre-by-centre scan on every tier: k from 0 to
 //     100 with duplicate, far-off, cell-corner, NaN and infinite centres,
 //     radii from 0 to 1e200 (whose square is inf), NaN and negative radii,
 //     the Beijing, NYC and a one-type city, POIs one ulp outside the
@@ -36,6 +38,7 @@
 #include "attack/region_reid.h"
 #include "attack/robust_reid.h"
 #include "common/rng.h"
+#include "defense/opt_defense.h"
 #include "poi/city_model.h"
 #include "poi/frequency.h"
 #include "poi/tile_aggregates.h"
@@ -366,7 +369,22 @@ std::vector<geo::Point> freq_sum_max_centres(common::Rng& rng,
   return out;
 }
 
-/// freq_sum_max on the active tier against per_centre_sum_max, exact.
+/// The support entries the oracle's folds give: one (type, sum, max) per
+/// type with sum != 0, ascending.
+std::vector<poi::TypeSumMax> oracle_support(const FrequencyVector& sum,
+                                            const FrequencyVector& max) {
+  std::vector<poi::TypeSumMax> out;
+  for (std::size_t i = 0; i < sum.size(); ++i) {
+    if (sum[i] != 0) {
+      out.push_back({static_cast<poi::TypeId>(i), sum[i], max[i]});
+    }
+  }
+  return out;
+}
+
+/// freq_sum_max on the active tier against per_centre_sum_max, exact, and
+/// the triples defense::aggregate_dummies builds from it against the
+/// oracle's (k up to 100 runs the AVX2 tier's kernel in two lane passes).
 void run_freq_sum_max_sweep() {
   constexpr std::size_t kKs[] = {0, 1, 7, 8, 9, 16, 17, 31, 32, 33, 64, 100};
   constexpr double kRadii[] = {0.0, 1e-9, 0.5, 1.0, 2.0, 7.5, 1e6, 1e200};
@@ -382,6 +400,10 @@ void run_freq_sum_max_sweep() {
     db.freq_sum_max(centers, r, sum, max);
     ASSERT_EQ(sum, want_sum) << what;
     ASSERT_EQ(max, want_max) << what;
+    std::vector<poi::TypeSumMax> support;
+    defense::aggregate_dummies(db, centers, r, support);
+    ASSERT_EQ(support, oracle_support(want_sum, want_max)) << what;
+    ASSERT_EQ(support.capacity(), support.size()) << what;
   };
   for (const poi::City& city : cities) {
     const poi::PoiDatabase& db = city.db;

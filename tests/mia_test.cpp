@@ -5,6 +5,7 @@
 // thread counts.
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -229,6 +230,33 @@ TEST(StreamRelease, NoisedCountsAreNonNegative) {
     releaser.release(std::vector<std::uint32_t>{0, 1}, 0, 4, rng, arena);
     for (const std::int32_t v : flatten(arena)) EXPECT_GE(v, 0);
   }
+}
+
+// A tiny epsilon is accepted, but the Laplace scale is then 4e9
+// (sensitivity 4 / 1e-9), so many draws round above INT32_MAX: they
+// saturate instead of being cast out of range (undefined; the UBSan build
+// traps it).
+TEST(StreamRelease, HugeNoiseSaturates) {
+  const UserTraces traces = tiny_traces();
+  StreamConfig config;
+  config.window_epochs = 2;
+  config.stride = 1;
+  config.epsilon = 1e-9;
+  const AggregateStreamReleaser releaser(traces, config, 4, 4);
+  common::Rng rng(99);
+  poi::FreqArena arena;
+  std::size_t saturated = 0;
+  std::size_t zero = 0;
+  for (int trial = 0; trial < 10; ++trial) {
+    releaser.release(std::vector<std::uint32_t>{0, 1, 2}, 0, 4, rng, arena);
+    for (const std::int32_t v : flatten(arena)) {
+      EXPECT_GE(v, 0);
+      saturated += v == std::numeric_limits<std::int32_t>::max();
+      zero += v == 0;
+    }
+  }
+  EXPECT_GT(saturated, 0u);
+  EXPECT_GT(zero, 0u);
 }
 
 // ---- Features --------------------------------------------------------------

@@ -7,15 +7,14 @@
 //     forced ratio ties, max_injection 0..2 and max_rank 0 or partial;
 //   * defense::postprocess_release on a generated city against the same
 //     oracle fed the rank vector and a freshly scanned rare-tail cap;
-//   * defense::noise_aggregate against the per-type calibrated_sigma /
-//     GeometricMechanism loop, for both noise kinds;
-//   * defense::noised_release, the support-only Eq. (8)-(9) release,
-//     against that noising oracle fed into the full-sort greedy over the
-//     dense noised mean, over 200 seeds: M in {1, 177, 272, 300}, support
-//     edge cases (sum != 0 with zero sensitivity, positive sensitivity
-//     with zero sum, all-zero aggregates), both noise kinds,
-//     max_injection 0..2 and max_rank 0 or partial. The RNG must also be
-//     left in the same state (same number of draws);
+//   * defense::noised_release, the Eq. (8)-(9) release over an
+//     aggregate's (type, sum, max) support entries, against the per-type
+//     calibrated_sigma / GeometricMechanism noising oracle run on the
+//     dense double aggregate and fed into the full-sort greedy, over 200
+//     seeds: M in {1, 177, 272, 300}, support edge cases (sum != 0 with
+//     zero max, positive max with zero sum, all-zero aggregates), both
+//     noise kinds, max_injection 0..2 and max_rank 0 or partial. The RNG
+//     must also be left in the same state (same number of draws);
 //   * DpDefense::release against noised_mean followed by
 //     postprocess_release on a generated city;
 //   * the exact int32 step-(2) fold (defense::aggregate_dummies) against a
@@ -23,8 +22,10 @@
 //     ReleaseService::compute_aggregate (with the old empty-row
 //     fingerprint skip) on testville and Beijing over 200 seeds, k in
 //     {1, 16, 32, 64} and r in {0.05, 0.5, 1, 2, 5} km, including regions
-//     whose dummies see no POI; DpDefense::noised_mean and ::release
-//     against the dense fold fed through the noising and greedy oracles.
+//     whose dummies see no POI: the cached block lists exactly the types
+//     with sum != 0, ascending, with the dense sums and maxima, at exactly
+//     its size; DpDefense::noised_mean and ::release against the dense
+//     fold fed through the noising and greedy oracles.
 //
 // Every comparison is exact: releases, objectives and noised means must
 // be bit-identical.
@@ -245,69 +246,45 @@ std::vector<double> oracle_noised_mean(const std::vector<double>& sum,
   return mean;
 }
 
-TEST(NoiseAggregate, MatchesPerTypeCalibrationBitForBit) {
-  for (std::uint64_t seed = 0; seed < 200; ++seed) {
-    common::Rng gen(5000 + seed);
-    const auto m = static_cast<std::size_t>(gen.uniform_int(1, 300));
-    const auto k = static_cast<std::size_t>(gen.uniform_int(1, 40));
-    std::vector<double> sum(m);
-    std::vector<double> sensitivity(m);
-    for (std::size_t i = 0; i < m; ++i) {
-      sensitivity[i] = gen.bernoulli(0.3)
-                           ? 0.0
-                           : static_cast<double>(gen.uniform_int(1, 9));
-      sum[i] = sensitivity[i] * static_cast<double>(gen.uniform_int(0, 5));
-    }
-    defense::DpDefenseConfig policy;
-    policy.k = k;
-    policy.epsilon = gen.uniform(0.05, 4.0);
-    policy.delta = gen.uniform(1e-6, 0.5);
-    policy.noise = gen.bernoulli(0.5) ? defense::DpNoiseKind::kGaussian
-                                      : defense::DpNoiseKind::kGeometric;
-    common::Rng a(seed);
-    common::Rng b(seed);
-    const std::vector<double> got =
-        defense::noise_aggregate(sum, sensitivity, k, policy, a);
-    const std::vector<double> want =
-        oracle_noised_mean(sum, sensitivity, k, policy, b);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t i = 0; i < m; ++i) {
-      ASSERT_TRUE(same_bits(got[i], want[i]))
-          << "seed " << seed << " type " << i;
-    }
-    EXPECT_EQ(a(), b()) << "seed " << seed;
-  }
-}
-
 TEST(NoisedRelease, MatchesDenseOracleOver200Seeds) {
   constexpr std::size_t kSizes[] = {1, 177, 272, 300};
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     common::Rng gen(9000 + seed);
     const std::size_t m = kSizes[seed % 4];
     const auto k = static_cast<std::size_t>(gen.uniform_int(1, 40));
-    std::vector<double> sum(m, 0.0);
-    std::vector<double> sensitivity(m, 0.0);
     // Every tenth aggregate is all zero; the rest are mostly zero (the
     // serving regime) with the support's edge cases mixed in.
+    std::vector<poi::TypeSumMax> support;
     if (seed % 10 != 0) {
       for (std::size_t i = 0; i < m; ++i) {
+        const auto type = static_cast<poi::TypeId>(i);
         switch (gen.uniform_int(0, 7)) {
-          case 0:  // an ordinary counted type
-            sensitivity[i] = static_cast<double>(gen.uniform_int(1, 9));
-            sum[i] = sensitivity[i] * static_cast<double>(gen.uniform_int(1, 5));
+          case 0: {  // an ordinary counted type
+            const auto max = static_cast<std::int32_t>(gen.uniform_int(1, 9));
+            const auto times = static_cast<std::int32_t>(gen.uniform_int(1, 5));
+            support.push_back({type, max * times, max});
             break;
-          case 1:  // sum != 0 but zero sensitivity: no draw, mean sum / k
-            sum[i] = gen.bernoulli(0.5)
-                         ? static_cast<double>(gen.uniform_int(1, 6)) + 0.5
-                         : gen.uniform(-3.0, 8.0);
+          }
+          case 1: {  // sum != 0 but zero max: no draw, mean sum / k
+            const auto sum = static_cast<std::int32_t>(gen.uniform_int(-3, 7));
+            support.push_back({type, sum >= 0 ? sum + 1 : sum, 0});
             break;
-          case 2:  // positive sensitivity but zero sum: a draw around 0
-            sensitivity[i] = static_cast<double>(gen.uniform_int(1, 4));
+          }
+          case 2:  // positive max but zero sum: a draw around 0
+            support.push_back(
+                {type, 0, static_cast<std::int32_t>(gen.uniform_int(1, 4))});
             break;
           default:
             break;
         }
       }
+    }
+    // The dense double aggregate the oracle noises.
+    std::vector<double> sum(m, 0.0);
+    std::vector<double> sensitivity(m, 0.0);
+    for (const poi::TypeSumMax& entry : support) {
+      sum[entry.type] = static_cast<double>(entry.sum);
+      sensitivity[entry.type] = static_cast<double>(entry.max);
     }
     const std::vector<int> rank = random_ranks(m, gen);
     const int max_rank =
@@ -324,17 +301,10 @@ TEST(NoisedRelease, MatchesDenseOracleOver200Seeds) {
     policy.beta = gen.uniform(0.0, 0.3);
     policy.max_injection = static_cast<std::int32_t>(gen.uniform_int(0, 2));
 
-    std::vector<poi::TypeId> support;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (sum[i] != 0.0 || sensitivity[i] > 0.0) {
-        support.push_back(static_cast<poi::TypeId>(i));
-      }
-    }
-
     common::Rng a(seed);
     common::Rng b(seed);
-    const poi::FrequencyVector got = defense::noised_release(
-        sum, sensitivity, support, k, policy, rank, max_rank, a);
+    const poi::FrequencyVector got =
+        defense::noised_release(support, k, policy, rank, max_rank, a);
     opt::DistortionProblem dense;
     dense.base = oracle_noised_mean(sum, sensitivity, k, policy, b);
     dense.rank = rank;
@@ -423,11 +393,33 @@ bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
+/// The dense fold's support as the cache stores it: one (type, sum, max)
+/// entry per type with sum != 0, ascending. Counts are nonnegative, so
+/// the dense support (sum != 0 or sensitivity > 0) must be exactly that
+/// set; the conversions back to int32 must be exact.
+std::vector<poi::TypeSumMax> oracle_support(const DenseAggregate& dense) {
+  std::vector<poi::TypeSumMax> out;
+  for (std::size_t i = 0; i < dense.sum.size(); ++i) {
+    EXPECT_EQ(dense.sum[i] != 0.0, dense.sensitivity[i] > 0.0) << "type " << i;
+    if (dense.sum[i] == 0.0) continue;
+    const poi::TypeSumMax entry{static_cast<poi::TypeId>(i),
+                                static_cast<std::int32_t>(dense.sum[i]),
+                                static_cast<std::int32_t>(dense.sensitivity[i])};
+    EXPECT_EQ(static_cast<double>(entry.sum), dense.sum[i]);
+    EXPECT_EQ(static_cast<double>(entry.max), dense.sensitivity[i]);
+    out.push_back(entry);
+  }
+  EXPECT_EQ(out.size(), dense.support.size());
+  return out;
+}
+
 /// ReleaseService::compute_aggregate (exact int32 fold) against the
-/// frozen dense double fold with the fingerprint skip: sum, sensitivity,
-/// support and k bit for bit. Every seed cloaks a fresh location at each
-/// k and radius; every fifth seed instead uses a region off the city, so
-/// no dummy sees a POI (r = 0.05 km also leaves many rows empty).
+/// frozen dense double fold with the fingerprint skip: the support
+/// entries (types with sum != 0, ascending, with their sums and maxima)
+/// and k exactly, the block at exactly its size, and no dense vectors.
+/// Every seed cloaks a fresh location at each k and radius; every fifth
+/// seed instead uses a region off the city, so no dummy sees a POI
+/// (r = 0.05 km also leaves many rows empty).
 void check_compute_aggregate(const poi::City& city) {
   const poi::PoiDatabase& db = city.db;
   common::Rng pop_rng(43);
@@ -471,9 +463,10 @@ void check_compute_aggregate(const poi::City& city) {
         const DenseAggregate want =
             oracle_dense_fold(db, dummies, r, /*skip_empty=*/true);
         ASSERT_EQ(got.k, dummies.size());
-        ASSERT_TRUE(same_bits(got.sum, want.sum));
-        ASSERT_TRUE(same_bits(got.sensitivity, want.sensitivity));
-        ASSERT_EQ(got.support, want.support);
+        ASSERT_EQ(got.support, oracle_support(want));
+        ASSERT_EQ(got.support.capacity(), got.support.size());
+        ASSERT_TRUE(got.sum.empty());
+        ASSERT_TRUE(got.sensitivity.empty());
         if (seed % 5 == 4) {
           ASSERT_TRUE(got.support.empty());
         }
@@ -545,21 +538,23 @@ TEST(DpDefense, NoisedMeanAndReleaseMatchFrozenDensePath) {
   }
 }
 
-TEST(NoiseAggregate, RejectsIllFormedParams) {
-  const std::vector<double> sum{1.0, 0.0};
-  const std::vector<double> sensitivity{1.0, 0.0};
+TEST(NoisedRelease, RejectsIllFormedParams) {
+  const std::vector<poi::TypeSumMax> support{{0, 1, 1}};
+  const std::vector<int> rank{1, 2};
   common::Rng rng(1);
   defense::DpDefenseConfig gaussian;
   gaussian.delta = 0.0;
-  EXPECT_THROW(defense::noise_aggregate(sum, sensitivity, 2, gaussian, rng),
+  EXPECT_THROW(defense::noised_release(support, 2, gaussian, rank, 0, rng),
                std::invalid_argument);
   defense::DpDefenseConfig geometric;
   geometric.noise = defense::DpNoiseKind::kGeometric;
   geometric.delta = 0.0;  // pure eps-DP: delta is not used
-  EXPECT_NO_THROW(
-      defense::noise_aggregate(sum, sensitivity, 2, geometric, rng));
+  EXPECT_NO_THROW(defense::noised_release(support, 2, geometric, rank, 0, rng));
   geometric.epsilon = 0.0;
-  EXPECT_THROW(defense::noise_aggregate(sum, sensitivity, 2, geometric, rng),
+  EXPECT_THROW(defense::noised_release(support, 2, geometric, rank, 0, rng),
+               std::invalid_argument);
+  // An empty support still validates: no draw, same refusal.
+  EXPECT_THROW(defense::noised_release({}, 2, gaussian, rank, 0, rng),
                std::invalid_argument);
 }
 

@@ -495,6 +495,37 @@ TEST(ReleaseService, ServeStreamValidatesAdmitsAndCaches) {
   EXPECT_DOUBLE_EQ(refused.spent.epsilon, 3.0);  // unchanged
 }
 
+// A tiny epsilon passes the constructor's epsilon > 0 check, but the
+// Laplace scale is then 2e9 (sensitivity 2 / 1e-9), so about a sixth of
+// the draws round above INT32_MAX. They saturate instead of being cast
+// out of range, which is undefined (the UBSan build traps it).
+TEST(ReleaseService, ServeStreamSaturatesHugeNoise) {
+  const poi::City city = make_city();
+  const auto cloaker = make_cloaker(city.db);
+  service::ServiceConfig config;
+  config.policies.push_back(
+      {"tiny", {.k = 8, .epsilon = 1e-9, .delta = 1e-4}});
+  config.seed = 99;
+  service::ReleaseService gsp(city.db, cloaker, config);
+  const FakeStreamSource source;
+  gsp.attach_stream_source(&source);
+  std::size_t saturated = 0;
+  std::size_t zero = 0;
+  for (service::UserId user = 0; user < 20; ++user) {
+    const auto out = gsp.serve_stream(
+        {user, static_cast<std::uint32_t>(user % 3), 0, 8, 0});
+    ASSERT_EQ(out.status, service::ReleaseStatus::kGranted);
+    ASSERT_EQ(out.vector.size(), 7u);
+    for (const std::int32_t count : out.vector) {
+      EXPECT_GE(count, 0);
+      saturated += count == std::numeric_limits<std::int32_t>::max();
+      zero += count == 0;
+    }
+  }
+  EXPECT_GT(saturated, 0u);
+  EXPECT_GT(zero, 0u);
+}
+
 TEST(ReleaseService, ServeStreamIsDeterministicAcrossInstances) {
   const poi::City city = make_city();
   const auto cloaker = make_cloaker(city.db);
