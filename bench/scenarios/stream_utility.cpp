@@ -87,8 +87,9 @@ int run(const eval::BenchOptions& options) {
       const mia::AggregateStreamReleaser releaser(traces, noised_config,
                                                   roi_tiles, roi_epochs);
       dp::Ledger ledger(dp::LedgerConfig{
-          dp::LedgerPolicy::kWindowedRenewal, dp::LedgerBackend::kExact, 0.0,
-          0.0, 0.0, noised_config.accounting});
+          .policy = dp::LedgerPolicy::kWindowedRenewal,
+          .window = noised_config.accounting,
+      });
       common::Rng rng = noise_base.substream(arm++);
       poi::FreqArena noised;
       releaser.release(group, 0, mobility.epochs, rng, noised, &ledger);

@@ -37,7 +37,6 @@ int main(int argc, char** argv) try {
   const defense::DpDefense defense(city.db, cloaker, release_config);
   dp::Ledger ledger(dp::LedgerConfig{
       .policy = dp::LedgerPolicy::kAdvancedHeterogeneous,
-      .backend = dp::LedgerBackend::kExact,
       .epsilon_ceiling = flags.get("ceiling", 4.0),
       .delta_ceiling = 0.5,
       .advanced_slack = 1e-6,

@@ -57,9 +57,10 @@
 #      observable), its zero-allocation store-fill check must hold, the
 #      Release --json smoke must emit a parseable sweep, and the linkage
 #      property suite re-runs under the ThreadSanitizer build,
-#  10. the ledger gate: the dp::Ledger property suite (legacy-oracle
-#      equivalence + fixed-point tightness + concurrent conservation)
-#      re-runs under the ThreadSanitizer build, the stream_utility smoke
+#  10. the ledger gate: the budget-ledger property suite (dp::Ledger
+#      legacy-oracle equivalence + SessionTable never-looser tightness
+#      + SessionTable concurrent conservation) re-runs under the
+#      ThreadSanitizer build, the stream_utility smoke
 #      must be byte-identical at --threads 1/2/8, and a loopback
 #      renewal smoke (--renew/--waves) must show budget_exhausted
 #      refusals turning back into grants after an epoch-boundary

@@ -1,12 +1,12 @@
 // Lock-free fixed-point privacy budgets — the admission hot path of the
-// serving layer.
+// serving layer (service::SessionTable holds one meter per user).
 //
-// dp::Ledger's exact backend composes a user's release history exactly,
-// but its admission predicates cost a map copy (and exp/log for the
-// advanced bound) per request and need external locking for concurrent
-// use. The serving layer's admission decision, however, only needs the
-// running basic composition against a fixed ceiling — a pair of bounded
-// sums. This header makes that pair a single 64-bit word:
+// dp::Ledger composes a release history exactly, but its admission
+// predicates cost a map copy (and exp/log for the advanced bound) per
+// request and need external locking for concurrent use. The serving
+// layer's admission decision, however, only needs the running basic
+// composition against a fixed ceiling — a pair of bounded sums. This
+// header makes that pair a single 64-bit word:
 //
 //   bits 63..32  charged epsilon, units of 1e-6   (max ~4294 epsilon)
 //   bits 31..0   charged delta,   units of 1e-9   (max ~4.29 delta)
@@ -16,31 +16,30 @@
 // linearizable — under any interleaving of concurrent charges a user's
 // spent budget can never exceed the ceiling, and no mutex is taken.
 //
-// Quantization contract — conservative by construction (the fixed-point
-// tightness half of dp::Ledger's guarantee): costs SNAP-OR-CEIL and
-// ceilings SNAP-OR-FLOOR. A value that is exact in 1e-6/1e-9 units up
-// to floating-point noise (0.25, 0.5, 1.0, 0.05, ... — every shipped
-// policy) snaps to that unit, so those schedules compose bit-identically
-// to the double sums; any other value rounds UP as a cost and DOWN as a
-// ceiling. Hence for every charge schedule
+// Quantization contract — conservative by construction: costs
+// SNAP-OR-CEIL and ceilings SNAP-OR-FLOOR. A value that is exact in
+// 1e-6/1e-9 units up to floating-point noise (0.25, 0.5, 1.0, 0.05, ...
+// — every shipped policy) snaps to that unit, so those schedules compose
+// bit-identically to the double sums; any other value rounds UP as a
+// cost and DOWN as a ceiling. Hence for every charge schedule
 //
 //   sum of unit costs  >=  ceil(true epsilon sum * scale)   (per comp.)
 //   unit ceiling       <=  floor(true ceiling * scale)
 //
-// so whenever the exact basic accountant refuses (true sum + cost >
-// ceiling), the fixed path refuses too: the fixed-point backend is
-// never LOOSER than the exact one (test-enforced by
-// tests/ledger_property_test). Sub-unit values still never quantize to
-// free — a positive epsilon charges at least one epsilon unit and a
-// positive delta (even the Gaussian 1e-12 floor) at least one delta
-// unit.
+// so whenever an exact kBasic dp::Ledger refuses (true sum + cost >
+// ceiling), the meter refuses too: a SessionTable user is never LOOSER
+// than the exact Ledger with the same ceilings (test-enforced by
+// tests/ledger_property_test, LedgerTightness). Sub-unit values still
+// never quantize to free — a positive epsilon charges at least one
+// epsilon unit and a positive delta (even the Gaussian 1e-12 floor) at
+// least one delta unit.
 //
 // Composition semantics: the meter is BASIC composition. Where the
 // tightest-of(basic, advanced) bound is tighter (many releases at a
 // small epsilon), the meter refuses no later than a basic-composition
 // accountant would — admission under the meter is never looser than the
 // bound it enforces. Advanced composition remains available offline via
-// dp::Ledger's exact backend.
+// dp::Ledger.
 #pragma once
 
 #include <algorithm>

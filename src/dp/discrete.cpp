@@ -1,61 +1,9 @@
 #include "dp/discrete.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace poiprivacy::dp {
-
-ExponentialMechanism::ExponentialMechanism(double epsilon, double sensitivity)
-    : epsilon_(epsilon), sensitivity_(sensitivity) {
-  if (epsilon <= 0.0 || sensitivity <= 0.0) {
-    throw std::invalid_argument(
-        "exponential mechanism: epsilon and sensitivity must be > 0");
-  }
-}
-
-std::vector<double> ExponentialMechanism::probabilities(
-    std::span<const double> utilities) const {
-  if (utilities.empty()) {
-    throw std::invalid_argument("exponential mechanism: empty utilities");
-  }
-  // Shift by the max for numerical stability.
-  const double max_utility =
-      *std::max_element(utilities.begin(), utilities.end());
-  std::vector<double> weights;
-  weights.reserve(utilities.size());
-  double total = 0.0;
-  for (const double u : utilities) {
-    const double w =
-        std::exp(epsilon_ * (u - max_utility) / (2.0 * sensitivity_));
-    weights.push_back(w);
-    total += w;
-  }
-  for (double& w : weights) w /= total;
-  return weights;
-}
-
-std::size_t ExponentialMechanism::select(std::span<const double> utilities,
-                                         common::Rng& rng) const {
-  const std::vector<double> probs = probabilities(utilities);
-  return rng.categorical(probs);
-}
-
-bool randomized_response(bool truth, double epsilon, common::Rng& rng) {
-  if (epsilon <= 0.0) {
-    throw std::invalid_argument("randomized response: epsilon must be > 0");
-  }
-  const double p_truth = std::exp(epsilon) / (std::exp(epsilon) + 1.0);
-  return rng.bernoulli(p_truth) ? truth : !truth;
-}
-
-double randomized_response_estimate(double observed_fraction, double epsilon) {
-  if (epsilon <= 0.0) {
-    throw std::invalid_argument("randomized response: epsilon must be > 0");
-  }
-  const double p = std::exp(epsilon) / (std::exp(epsilon) + 1.0);
-  return (observed_fraction - (1.0 - p)) / (2.0 * p - 1.0);
-}
 
 GeometricMechanism::GeometricMechanism(double epsilon,
                                        std::int64_t sensitivity) {

@@ -1,45 +1,13 @@
-// Discrete differentially-private primitives used by ablations and
-// available to downstream users:
-//
-//   * ExponentialMechanism — selects an index with probability
-//     proportional to exp(eps * utility / (2 * sensitivity)).
-//   * randomized_response  — classic eps-LDP bit release.
-//   * GeometricMechanism   — two-sided geometric (discrete Laplace) noise
-//     for integer counts, the natural DP primitive for frequency vectors.
+// GeometricMechanism — two-sided geometric (discrete Laplace) noise for
+// integer counts, the natural DP primitive for frequency vectors (the
+// pure eps-DP noise kind of the DP defense, defense/opt_defense).
 #pragma once
 
-#include <span>
-#include <vector>
+#include <cstdint>
 
 #include "common/rng.h"
 
 namespace poiprivacy::dp {
-
-class ExponentialMechanism {
- public:
-  /// `sensitivity` is the utility function's sensitivity.
-  ExponentialMechanism(double epsilon, double sensitivity);
-
-  /// Index sampled with probability proportional to
-  /// exp(eps * utility[i] / (2 * sensitivity)). Requires nonempty input.
-  std::size_t select(std::span<const double> utilities,
-                     common::Rng& rng) const;
-
-  /// Selection probabilities (for tests and analysis).
-  std::vector<double> probabilities(std::span<const double> utilities) const;
-
- private:
-  double epsilon_;
-  double sensitivity_;
-};
-
-/// eps-LDP randomized response for one bit: answers truthfully with
-/// probability e^eps / (e^eps + 1).
-bool randomized_response(bool truth, double epsilon, common::Rng& rng);
-
-/// Unbiased population-frequency estimator for randomized response:
-/// given the observed positive fraction, invert the perturbation.
-double randomized_response_estimate(double observed_fraction, double epsilon);
 
 class GeometricMechanism {
  public:

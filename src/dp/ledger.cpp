@@ -19,20 +19,6 @@ PrivacyParams tighter(PrivacyParams a, PrivacyParams b) {
   return a.epsilon <= b.epsilon ? a : b;
 }
 
-/// A 0 ceiling reads as unbounded; in fixed point that is the saturated
-/// word (which any realistic schedule can never fill).
-FixedBudget fixed_ceiling_of(double epsilon_ceiling,
-                             double delta_ceiling) noexcept {
-  FixedBudget ceiling =
-      FixedBudget::ceiling_of(epsilon_ceiling, delta_ceiling);
-  if (epsilon_ceiling <= 0.0) ceiling.epsilon_units = FixedBudget::kMaxUnits;
-  if (delta_ceiling <= 0.0) ceiling.delta_units = FixedBudget::kMaxUnits;
-  return ceiling;
-}
-
-constexpr FixedBudget kUnboundedFixed{FixedBudget::kMaxUnits,
-                                      FixedBudget::kMaxUnits};
-
 }  // namespace
 
 void Ledger::Group::add(PrivacyParams params) {
@@ -71,18 +57,6 @@ Ledger::Ledger(LedgerConfig config) : config_(config) {
     // window_of() divides by window_epochs unconditionally.
     if (config_.window.window_epochs == 0) config_.window.window_epochs = 1;
   }
-  if (config_.backend == LedgerBackend::kFixedPoint) {
-    if (config_.policy == LedgerPolicy::kAdvancedHeterogeneous) {
-      throw std::invalid_argument(
-          "ledger: the fixed-point backend keeps no per-epsilon history "
-          "and cannot compose the advanced bound");
-    }
-    fixed_ceiling_ =
-        config_.policy == LedgerPolicy::kWindowedRenewal
-            ? fixed_ceiling_of(config_.window.epsilon_budget,
-                               config_.delta_ceiling)
-            : fixed_ceiling_of(config_.epsilon_ceiling, config_.delta_ceiling);
-  }
 }
 
 PrivacyParams Ledger::composed_of(const Group& group) const {
@@ -109,19 +83,6 @@ bool Ledger::exceeds_ceilings(PrivacyParams composed) const noexcept {
 
 bool Ledger::would_exceed(PrivacyParams params, std::size_t epoch) const {
   if (invalid(params)) return true;  // unadmittable, never chargeable
-  if (config_.backend == LedgerBackend::kFixedPoint) {
-    // A later window reads as a fresh meter even before a mutator rolls it.
-    const FixedBudget used =
-        (config_.policy == LedgerPolicy::kWindowedRenewal &&
-         window_of(epoch) > fixed_window_.load(std::memory_order_acquire))
-            ? FixedBudget{}
-            : meter_.spent();
-    const FixedBudget cost = FixedBudget::cost_of(params);
-    return std::uint64_t{used.epsilon_units} + cost.epsilon_units >
-               fixed_ceiling_.epsilon_units ||
-           std::uint64_t{used.delta_units} + cost.delta_units >
-               fixed_ceiling_.delta_units;
-  }
   if (config_.policy == LedgerPolicy::kWindowedRenewal) {
     if (config_.window.epsilon_budget <= 0.0) return false;
     const auto it = windows_.find(window_of(epoch));
@@ -131,37 +92,17 @@ bool Ledger::would_exceed(PrivacyParams params, std::size_t epoch) const {
   return exceeds_ceilings(composed_after(total_, params));
 }
 
-void Ledger::commit_exact(PrivacyParams params, std::size_t epoch) {
+void Ledger::commit(PrivacyParams params, std::size_t epoch) {
   total_.add(params);
   if (config_.policy == LedgerPolicy::kWindowedRenewal) {
     windows_[window_of(epoch)].add(params);
   }
-  releases_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void Ledger::roll_fixed_window(std::size_t epoch) {
-  if (config_.policy != LedgerPolicy::kWindowedRenewal) return;
-  const std::size_t window = window_of(epoch);
-  if (window > fixed_window_.load(std::memory_order_relaxed)) {
-    // Owner-synchronized, like AtomicBudgetMeter::reset: a renewal is
-    // never concurrent with charges to the SAME ledger.
-    fixed_window_.store(window, std::memory_order_relaxed);
-    meter_.reset();
-  }
+  ++releases_;
 }
 
 bool Ledger::try_charge(PrivacyParams params, std::size_t epoch) {
-  if (invalid(params)) return false;
-  if (config_.backend == LedgerBackend::kFixedPoint) {
-    roll_fixed_window(epoch);
-    if (!meter_.try_charge(FixedBudget::cost_of(params), fixed_ceiling_)) {
-      return false;
-    }
-    releases_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
   if (would_exceed(params, epoch)) return false;
-  commit_exact(params, epoch);
+  commit(params, epoch);
   return true;
 }
 
@@ -183,25 +124,10 @@ void Ledger::record(PrivacyParams params, std::size_t epoch) {
     throw std::invalid_argument(
         "ledger: requires epsilon > 0 and delta in [0, 1)");
   }
-  if (config_.backend == LedgerBackend::kFixedPoint) {
-    roll_fixed_window(epoch);
-    meter_.try_charge(FixedBudget::cost_of(params), kUnboundedFixed);
-    releases_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  commit_exact(params, epoch);
+  commit(params, epoch);
 }
 
-std::size_t Ledger::releases() const noexcept {
-  return releases_.load(std::memory_order_relaxed);
-}
-
-PrivacyParams Ledger::spent() const {
-  if (config_.backend == LedgerBackend::kFixedPoint) {
-    return meter_.spent().params();
-  }
-  return composed_of(total_);
-}
+PrivacyParams Ledger::spent() const { return composed_of(total_); }
 
 PrivacyParams Ledger::remaining() const {
   constexpr double kUnbounded = std::numeric_limits<double>::infinity();
@@ -215,17 +141,10 @@ PrivacyParams Ledger::remaining() const {
 }
 
 PrivacyParams Ledger::basic_composition() const noexcept {
-  if (config_.backend == LedgerBackend::kFixedPoint) {
-    return meter_.spent().params();
-  }
   return total_.basic();
 }
 
 PrivacyParams Ledger::advanced_composition(double delta_prime) const {
-  if (config_.backend == LedgerBackend::kFixedPoint) {
-    throw std::invalid_argument(
-        "ledger: the fixed-point backend keeps no per-epsilon history");
-  }
   return total_.advanced(delta_prime);
 }
 

@@ -1,57 +1,41 @@
-// dp::Ledger — the one privacy-accounting engine of the repo.
+// dp::Ledger — the exact privacy accountant of the eval, defense and
+// membership-inference paths.
 //
-// The codebase used to carry three disjoint accounting stacks: a
-// PrivacyAccountant (basic / advanced composition for the eval and
-// defense pipelines), a WindowedAccountant (window-level composition
-// with budget renewal for the continual-release workloads), and the
-// fixed-point AtomicBudgetMeter inside the serving layer's session
-// table. The Ledger unifies them behind one API:
+// One API serves the eval and defense pipelines (basic / advanced
+// composition) and the continual-release workloads (window-level
+// composition with budget renewal); the config picks the policy:
 //
-//   composition POLICY                  charge BACKEND
-//   ------------------------------      --------------------------------
-//   kBasic                  sums        kExact       double sums, the
-//   kAdvancedHeterogeneous  tightest-   (eval/mia)   per-epsilon-group
-//                           of(basic,                map — bit-identical
-//                           Thm 3.20                 to the historical
-//                           per eps                  accountants
-//                           group)      kFixedPoint  one packed 64-bit
-//   kWindowedRenewal        per-window  (serving)    word, single-CAS
-//                           budget that              admission
-//                           renews at                (dp/budget.h)
-//                           window
-//                           boundaries
+//   kBasic                  sums of epsilons and deltas vs the ceilings
+//   kAdvancedHeterogeneous  tightest-of(basic, Thm 3.20 per epsilon
+//                           group) vs the ceilings
+//   kWindowedRenewal        per-window epsilon budget that renews at
+//                           window boundaries
 //
-// Tightness guarantee (test-enforced by tests/ledger_property_test):
-// the fixed-point backend is never LOOSER than the exact one — costs
-// quantize snap-or-ceil and ceilings snap-or-floor (see dp/budget.h),
-// so any charge schedule the fixed backend admits, the exact basic
-// accountant admits too. Values exact in 1e-6/1e-9 units (every shipped
-// policy) snap, keeping the historical byte-identical goldens.
+// Every policy keeps double sums plus a per-epsilon-group map,
+// bit-identical to the historical accountants (test-enforced by
+// tests/ledger_property_test against frozen ports of them).
+//
+// The serving layer does not charge through the Ledger: its per-user
+// admission is service::SessionTable on dp::AtomicBudgetMeter
+// (dp/budget.h), which is never LOOSER than an exact kBasic Ledger with
+// the same ceilings (also test-enforced by tests/ledger_property_test).
 //
 // Epoch semantics (kWindowedRenewal): epochs map onto fixed-length
 // accounting windows (window_of = epoch / window_epochs); each window
 // owns a fresh budget — the w-event-style guarantee where the bound
 // holds over any single window, never by overdrawing the current one.
-// Under the exact backend every touched window keeps its own
-// per-epsilon-group history; under the fixed backend the single meter
-// resets when a charge first arrives in a later window (owner-
-// synchronized, like AtomicBudgetMeter::reset — the serving layer's
-// session table performs the same renewal fleet-wide from
-// advance_epoch).
+// Every touched window keeps its own per-epsilon-group history. The
+// serving layer's session table performs the same renewal fleet-wide
+// from advance_epoch.
 //
-// Thread safety: the kFixedPoint backend's would_exceed / try_charge /
-// record are lock-free and linearizable per ledger (window transitions
-// excepted, see above). The kExact backend is single-threaded by
-// design — it backs the deterministic eval/mia paths, which already
-// serialize accounting.
+// Thread safety: none. The Ledger backs the deterministic eval/mia
+// paths, which already serialize accounting.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <map>
 
-#include "dp/budget.h"
 #include "dp/mechanisms.h"
 
 namespace poiprivacy::dp {
@@ -60,11 +44,6 @@ enum class LedgerPolicy : std::uint8_t {
   kBasic = 0,              ///< sum of epsilons/deltas vs the ceilings
   kAdvancedHeterogeneous,  ///< tightest-of(basic, Thm 3.20 per eps group)
   kWindowedRenewal,        ///< per-window budget, renewed at boundaries
-};
-
-enum class LedgerBackend : std::uint8_t {
-  kExact = 0,   ///< double-precision history (eval / mia / defense)
-  kFixedPoint,  ///< packed-word AtomicBudgetMeter (serving layer)
 };
 
 /// Renewal policy of a windowed ledger: how many epochs share one
@@ -77,7 +56,6 @@ struct WindowPolicy {
 
 struct LedgerConfig {
   LedgerPolicy policy = LedgerPolicy::kBasic;
-  LedgerBackend backend = LedgerBackend::kExact;
   /// Lifetime ceilings for kBasic / kAdvancedHeterogeneous; 0 reads as
   /// unbounded (the historical PrivacyAccountant had no ceiling at all).
   double epsilon_ceiling = 0.0;
@@ -90,14 +68,12 @@ struct LedgerConfig {
   WindowPolicy window;
 };
 
-/// One accounting engine; see the header comment for the policy/backend
-/// matrix. Not copyable (the fixed backend embeds an atomic meter).
+/// One accounting engine; see the header comment for the policies. Not
+/// copyable: a copy would fork the budget history.
 class Ledger {
  public:
   /// Throws std::invalid_argument on an ill-formed config: zero
-  /// window_epochs or negative budget under kWindowedRenewal, or
-  /// kAdvancedHeterogeneous over the fixed-point backend (the packed
-  /// word cannot carry a per-epsilon-group history).
+  /// window_epochs or negative budget under kWindowedRenewal.
   explicit Ledger(LedgerConfig config = {});
 
   Ledger(const Ledger&) = delete;
@@ -109,16 +85,11 @@ class Ledger {
 
   /// Would charging `params` against `epoch` pass the policy's bound?
   /// Never throws: invalid params (eps <= 0, delta outside [0, 1)) can
-  /// never be admitted and report true. Under the fixed backend this is
-  /// an advisory peek (a concurrent charge can invalidate it); the
-  /// authoritative admission check is try_charge. This is THE admission
-  /// predicate — every other layer (sessions, serving, streams)
-  /// delegates here or to try_charge's equivalent internal check.
+  /// never be admitted and report true.
   bool would_exceed(PrivacyParams params, std::size_t epoch = 0) const;
 
   /// Charge-if-admissible: false (charging nothing) when the params are
-  /// invalid or the charge would pass the bound. Linearizable under the
-  /// fixed backend.
+  /// invalid or the charge would pass the bound.
   bool try_charge(PrivacyParams params, std::size_t epoch = 0);
 
   /// Throwing charge for callers that treat refusal as a logic error:
@@ -134,11 +105,11 @@ class Ledger {
 
   // -- lifetime composition -------------------------------------------------
 
-  std::size_t releases() const noexcept;
+  std::size_t releases() const noexcept { return releases_; }
 
   /// The composed cost under the configured policy: basic for kBasic /
   /// kWindowedRenewal (lifetime), tightest-of(basic, advanced) for
-  /// kAdvancedHeterogeneous. Fixed backend: the quantized basic sums.
+  /// kAdvancedHeterogeneous.
   PrivacyParams spent() const;
 
   /// Componentwise budget left before the lifetime ceilings, clamped at
@@ -146,17 +117,16 @@ class Ledger {
   PrivacyParams remaining() const;
 
   /// Basic composition: exact sums of epsilons and deltas, in charge
-  /// order (fixed backend: the quantized sums).
+  /// order.
   PrivacyParams basic_composition() const noexcept;
 
   /// Advanced composition with total slack delta_prime: a homogeneous
   /// history uses Thm 3.20 directly; with G distinct epsilons each
   /// group composes under slack delta_prime / G and the bounds sum.
-  /// Throws std::invalid_argument on slack outside (0, 1) and under the
-  /// fixed backend (which keeps no per-epsilon history).
+  /// Throws std::invalid_argument on slack outside (0, 1).
   PrivacyParams advanced_composition(double delta_prime) const;
 
-  /// Distinct per-release epsilons recorded so far (exact backend).
+  /// Distinct per-release epsilons recorded so far.
   std::size_t epsilon_groups() const noexcept;
 
   // -- windowed composition (kWindowedRenewal; epoch-indexed) ---------------
@@ -185,11 +155,6 @@ class Ledger {
   /// Basic composition across every window (the unbounded-stream cost).
   PrivacyParams lifetime_composition() const noexcept;
 
-  // -- fixed-point backend introspection ------------------------------------
-
-  FixedBudget fixed_spent() const noexcept { return meter_.spent(); }
-  FixedBudget fixed_ceiling() const noexcept { return fixed_ceiling_; }
-
  private:
   /// One charge history: exact sums plus the per-epsilon-group map the
   /// advanced bound composes over. The lifetime total and every touched
@@ -214,22 +179,14 @@ class Ledger {
   PrivacyParams composed_after(const Group& group, PrivacyParams params) const;
   PrivacyParams composed_of(const Group& group) const;
   bool exceeds_ceilings(PrivacyParams composed) const noexcept;
-  void commit_exact(PrivacyParams params, std::size_t epoch);
-  /// Fixed backend: renew the meter when `epoch` opened a later window
-  /// (owner-synchronized; see the header comment).
-  void roll_fixed_window(std::size_t epoch);
+  void commit(PrivacyParams params, std::size_t epoch);
 
   LedgerConfig config_;
-  // Exact backend state. total_ is the lifetime history; windows_ holds
-  // one history per touched accounting window (kWindowedRenewal; the
-  // other policies charge everything to window 0).
+  // total_ is the lifetime history; windows_ holds one history per
+  // touched accounting window (kWindowedRenewal only).
   Group total_;
   std::map<std::size_t, Group> windows_;
-  // Fixed backend state.
-  AtomicBudgetMeter meter_;
-  FixedBudget fixed_ceiling_{};
-  std::atomic<std::size_t> fixed_window_{0};
-  std::atomic<std::size_t> releases_{0};
+  std::size_t releases_ = 0;
 };
 
 }  // namespace poiprivacy::dp

@@ -51,9 +51,10 @@ TrialOutcome run_trial(const UserTraces& traces,
                       static_cast<std::int64_t>(knowledge.training_pool.size()) -
                           1))];
 
-  dp::Ledger ledger(dp::LedgerConfig{dp::LedgerPolicy::kWindowedRenewal,
-                                     dp::LedgerBackend::kExact, 0.0, 0.0, 0.0,
-                                     config.stream.accounting});
+  dp::Ledger ledger(dp::LedgerConfig{
+      .policy = dp::LedgerPolicy::kWindowedRenewal,
+      .window = config.stream.accounting,
+  });
   poi::FreqArena& stream = poi::scratch_arena();
   std::vector<double> features;
 

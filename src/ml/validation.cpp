@@ -8,40 +8,6 @@
 
 namespace poiprivacy::ml {
 
-std::vector<std::vector<std::size_t>> k_fold_indices(std::size_t n,
-                                                     std::size_t folds,
-                                                     common::Rng& rng) {
-  assert(folds >= 2 && folds <= std::max<std::size_t>(n, 2));
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  rng.shuffle(order);
-  std::vector<std::vector<std::size_t>> out(folds);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i % folds].push_back(order[i]);
-  }
-  return out;
-}
-
-double cross_validate(
-    std::size_t n, std::size_t folds, common::Rng& rng,
-    const std::function<double(std::span<const std::size_t>,
-                               std::span<const std::size_t>)>&
-        train_and_score) {
-  const auto fold_indices = k_fold_indices(n, folds, rng);
-  double total = 0.0;
-  for (std::size_t f = 0; f < folds; ++f) {
-    std::vector<std::size_t> train;
-    train.reserve(n);
-    for (std::size_t other = 0; other < folds; ++other) {
-      if (other == f) continue;
-      train.insert(train.end(), fold_indices[other].begin(),
-                   fold_indices[other].end());
-    }
-    total += train_and_score(train, fold_indices[f]);
-  }
-  return total / static_cast<double>(folds);
-}
-
 void ConfusionMatrix::add(int truth, int predicted) {
   ++counts_[{truth, predicted}];
   ++total_;

@@ -1,32 +1,14 @@
-// Model-validation utilities: k-fold cross validation, a confusion
-// matrix, and ranking metrics (exact AUC, ROC curves) shared by the
-// recovery-model diagnostics and the membership-inference distinguishers.
+// Model-validation metrics: a confusion matrix (the recovery-model
+// ablation's accuracy and macro F1) and ranking metrics (exact AUC, ROC
+// curves) for the membership-inference distinguishers.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
-#include "common/rng.h"
-#include "ml/dataset.h"
-
 namespace poiprivacy::ml {
-
-/// Deterministic k-fold index split: every index lands in exactly one
-/// fold; folds differ in size by at most one.
-std::vector<std::vector<std::size_t>> k_fold_indices(std::size_t n,
-                                                     std::size_t folds,
-                                                     common::Rng& rng);
-
-/// Runs k-fold cross validation of a classifier factory.
-/// `train_and_score(train_idx, test_idx)` must return the fold's score
-/// (e.g., accuracy); the mean score is returned.
-double cross_validate(
-    std::size_t n, std::size_t folds, common::Rng& rng,
-    const std::function<double(std::span<const std::size_t> train,
-                               std::span<const std::size_t> test)>&
-        train_and_score);
 
 /// Confusion counts over integer labels.
 class ConfusionMatrix {

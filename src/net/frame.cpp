@@ -11,20 +11,25 @@ namespace poiprivacy::net {
 
 namespace {
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+/// status, served policy, cache hit, eps, delta, count.
+constexpr std::size_t kResponseHeaderBytes = 1 + 4 + 1 + 8 + 8 + 4;
+
+/// Bounds-unchecked little-endian writes; callers size the buffer up
+/// front.
+void put_u32(std::uint8_t* p, std::uint32_t v) noexcept {
+  p[0] = static_cast<std::uint8_t>(v);
+  p[1] = static_cast<std::uint8_t>(v >> 8);
+  p[2] = static_cast<std::uint8_t>(v >> 16);
+  p[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
+void put_u64(std::uint8_t* p, std::uint64_t v) noexcept {
+  put_u32(p, static_cast<std::uint32_t>(v));
+  put_u32(p + 4, static_cast<std::uint32_t>(v >> 32));
 }
 
-void put_f64(std::vector<std::uint8_t>& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
+void put_f64(std::uint8_t* p, double v) noexcept {
+  put_u64(p, std::bit_cast<std::uint64_t>(v));
 }
 
 /// Bounds-unchecked little-endian reads; callers check sizes up front.
@@ -69,13 +74,13 @@ int read_exact(int fd, std::uint8_t* buf, std::size_t n) noexcept {
 
 void encode_request(const service::ReleaseRequest& request,
                     std::vector<std::uint8_t>& out) {
-  out.clear();
-  out.reserve(kRequestBodyBytes);
-  put_u64(out, request.user_id);
-  put_f64(out, request.location.x);
-  put_f64(out, request.location.y);
-  put_f64(out, request.radius);
-  put_u32(out, request.policy);
+  out.resize(kRequestBodyBytes);
+  std::uint8_t* p = out.data();
+  put_u64(p, request.user_id);
+  put_f64(p + 8, request.location.x);
+  put_f64(p + 16, request.location.y);
+  put_f64(p + 24, request.radius);
+  put_u32(p + 32, request.policy);
 }
 
 std::optional<service::ReleaseRequest> decode_request(
@@ -93,14 +98,14 @@ std::optional<service::ReleaseRequest> decode_request(
 
 void encode_stream_request(const service::StreamRequest& request,
                            std::vector<std::uint8_t>& out) {
-  out.clear();
-  out.reserve(kStreamRequestBodyBytes);
-  out.push_back(kStreamRequestKind);
-  put_u64(out, request.user_id);
-  put_u32(out, request.series);
-  put_u32(out, request.begin_epoch);
-  put_u32(out, request.end_epoch);
-  put_u32(out, request.policy);
+  out.resize(kStreamRequestBodyBytes);
+  std::uint8_t* p = out.data();
+  p[0] = kStreamRequestKind;
+  put_u64(p + 1, request.user_id);
+  put_u32(p + 9, request.series);
+  put_u32(p + 13, request.begin_epoch);
+  put_u32(p + 17, request.end_epoch);
+  put_u32(p + 21, request.policy);
 }
 
 std::optional<service::StreamRequest> decode_stream_request(
@@ -119,23 +124,24 @@ std::optional<service::StreamRequest> decode_stream_request(
 
 void encode_response(const service::ReleaseResult& result,
                      std::vector<std::uint8_t>& out) {
-  out.clear();
-  out.reserve(1 + 4 + 1 + 8 + 8 + 4 + result.vector.size() * 4);
-  out.push_back(static_cast<std::uint8_t>(result.status));
-  put_u32(out, result.served_policy);
-  out.push_back(result.cache_hit ? 1 : 0);
-  put_f64(out, result.spent.epsilon);
-  put_f64(out, result.spent.delta);
-  put_u32(out, static_cast<std::uint32_t>(result.vector.size()));
+  out.resize(kResponseHeaderBytes + result.vector.size() * 4);
+  std::uint8_t* p = out.data();
+  p[0] = static_cast<std::uint8_t>(result.status);
+  put_u32(p + 1, result.served_policy);
+  p[5] = result.cache_hit ? 1 : 0;
+  put_f64(p + 6, result.spent.epsilon);
+  put_f64(p + 14, result.spent.delta);
+  put_u32(p + 22, static_cast<std::uint32_t>(result.vector.size()));
+  p += kResponseHeaderBytes;
   for (const std::int32_t v : result.vector) {
-    put_u32(out, static_cast<std::uint32_t>(v));
+    put_u32(p, static_cast<std::uint32_t>(v));
+    p += 4;
   }
 }
 
 std::optional<service::ReleaseResult> decode_response(
     std::span<const std::uint8_t> body) {
-  constexpr std::size_t kHeader = 1 + 4 + 1 + 8 + 8 + 4;
-  if (body.size() < kHeader) return std::nullopt;
+  if (body.size() < kResponseHeaderBytes) return std::nullopt;
   const std::uint8_t* p = body.data();
   if (!valid_status(p[0]) || p[5] > 1) return std::nullopt;
   service::ReleaseResult result;
@@ -145,10 +151,13 @@ std::optional<service::ReleaseResult> decode_response(
   result.spent.epsilon = get_f64(p + 6);
   result.spent.delta = get_f64(p + 14);
   const std::uint32_t count = get_u32(p + 22);
-  if (body.size() != kHeader + std::size_t{count} * 4) return std::nullopt;
+  if (body.size() != kResponseHeaderBytes + std::size_t{count} * 4) {
+    return std::nullopt;
+  }
+  p += kResponseHeaderBytes;
   result.vector.resize(count);
   for (std::uint32_t i = 0; i < count; ++i) {
-    result.vector[i] = static_cast<std::int32_t>(get_u32(p + kHeader + i * 4));
+    result.vector[i] = static_cast<std::int32_t>(get_u32(p + i * 4));
   }
   return result;
 }
@@ -176,11 +185,7 @@ FrameIo read_frame(int fd, std::vector<std::uint8_t>& body,
 bool write_frame(int fd, std::span<const std::uint8_t> body) {
   if (body.size() > kMaxFrameBytes) return false;
   std::uint8_t header[4];
-  const auto length = static_cast<std::uint32_t>(body.size());
-  header[0] = static_cast<std::uint8_t>(length);
-  header[1] = static_cast<std::uint8_t>(length >> 8);
-  header[2] = static_cast<std::uint8_t>(length >> 16);
-  header[3] = static_cast<std::uint8_t>(length >> 24);
+  put_u32(header, static_cast<std::uint32_t>(body.size()));
   // Header and body leave in one writev, so a TCP_NODELAY socket sends
   // one segment per frame; a short write resumes where it stopped.
   iovec parts[2] = {{header, sizeof header},

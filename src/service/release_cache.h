@@ -133,8 +133,6 @@ class ReleaseCache {
  public:
   /// `capacity` entries total, spread over `shards` independent LRU lists
   /// (each holding ceil(capacity / shards)).
-  explicit ReleaseCache(std::size_t capacity, std::size_t shards = 16)
-      : ReleaseCache(ReleaseCacheConfig{capacity, shards, 0}) {}
   explicit ReleaseCache(ReleaseCacheConfig config);
 
   /// The aggregate for `key`, refreshing its LRU position and TTL stamp,

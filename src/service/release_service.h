@@ -7,8 +7,7 @@
 //
 //   * a sharded, fixed-capacity session/budget table (session_table.h):
 //     admission charges are lock-free on the hot path (one CAS on a
-//     fixed-point budget word per request — dp::Ledger's fixed-point
-//     backend, fleet-wide);
+//     fixed-point budget word per request, dp::AtomicBudgetMeter);
 //   * admission control: a request whose composed (eps, delta) would
 //     exceed the ceiling is degraded to a cheaper policy (if configured)
 //     or refused with a typed ReleaseStatus — never an exception;

@@ -13,75 +13,6 @@
 namespace poiprivacy::dp {
 namespace {
 
-TEST(ExponentialMechanism, RejectsBadParameters) {
-  EXPECT_THROW(ExponentialMechanism(0.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(ExponentialMechanism(1.0, 0.0), std::invalid_argument);
-  const ExponentialMechanism mech(1.0, 1.0);
-  EXPECT_THROW(mech.probabilities({}), std::invalid_argument);
-}
-
-TEST(ExponentialMechanism, ProbabilitiesFollowUtilities) {
-  const ExponentialMechanism mech(2.0, 1.0);
-  const std::vector<double> utilities{0.0, 1.0, 2.0};
-  const auto probs = mech.probabilities(utilities);
-  ASSERT_EQ(probs.size(), 3u);
-  EXPECT_LT(probs[0], probs[1]);
-  EXPECT_LT(probs[1], probs[2]);
-  // Ratio between adjacent utilities is exp(eps * du / (2 * sens)) = e.
-  EXPECT_NEAR(probs[2] / probs[1], std::exp(1.0), 1e-9);
-  EXPECT_NEAR(probs[0] + probs[1] + probs[2], 1.0, 1e-12);
-}
-
-TEST(ExponentialMechanism, LargeUtilitiesAreNumericallyStable) {
-  const ExponentialMechanism mech(1.0, 1.0);
-  const std::vector<double> utilities{1e6, 1e6 + 1.0};
-  const auto probs = mech.probabilities(utilities);
-  EXPECT_TRUE(std::isfinite(probs[0]));
-  EXPECT_GT(probs[1], probs[0]);
-}
-
-TEST(ExponentialMechanism, EmpiricalSelectionMatchesProbabilities) {
-  const ExponentialMechanism mech(1.0, 1.0);
-  const std::vector<double> utilities{0.0, 2.0};
-  const auto probs = mech.probabilities(utilities);
-  common::Rng rng(3);
-  int second = 0;
-  const int n = 30000;
-  for (int i = 0; i < n; ++i) second += mech.select(utilities, rng) == 1;
-  EXPECT_NEAR(static_cast<double>(second) / n, probs[1], 0.01);
-}
-
-TEST(RandomizedResponse, TruthRateMatchesEpsilon) {
-  common::Rng rng(5);
-  const double eps = 1.0;
-  const double expected = std::exp(eps) / (std::exp(eps) + 1.0);
-  int truthful = 0;
-  const int n = 40000;
-  for (int i = 0; i < n; ++i) truthful += randomized_response(true, eps, rng);
-  EXPECT_NEAR(static_cast<double>(truthful) / n, expected, 0.01);
-}
-
-TEST(RandomizedResponse, EstimatorIsUnbiased) {
-  common::Rng rng(7);
-  const double eps = 0.8;
-  const double true_fraction = 0.3;
-  const int n = 60000;
-  int positives = 0;
-  for (int i = 0; i < n; ++i) {
-    positives += randomized_response(rng.bernoulli(true_fraction), eps, rng);
-  }
-  const double estimate = randomized_response_estimate(
-      static_cast<double>(positives) / n, eps);
-  EXPECT_NEAR(estimate, true_fraction, 0.02);
-}
-
-TEST(RandomizedResponse, RejectsBadEpsilon) {
-  common::Rng rng(9);
-  EXPECT_THROW(randomized_response(true, 0.0, rng), std::invalid_argument);
-  EXPECT_THROW(randomized_response_estimate(0.5, -1.0),
-               std::invalid_argument);
-}
-
 TEST(GeometricMechanism, RejectsBadParameters) {
   EXPECT_THROW(GeometricMechanism(0.0, 1), std::invalid_argument);
   EXPECT_THROW(GeometricMechanism(1.0, 0), std::invalid_argument);
@@ -122,8 +53,8 @@ namespace {
 Ledger basic_ledger() { return Ledger(LedgerConfig{}); }
 
 Ledger windowed_ledger(WindowPolicy window) {
-  return Ledger(LedgerConfig{LedgerPolicy::kWindowedRenewal,
-                             LedgerBackend::kExact, 0.0, 0.0, 0.0, window});
+  return Ledger(
+      LedgerConfig{.policy = LedgerPolicy::kWindowedRenewal, .window = window});
 }
 
 }  // namespace
@@ -229,13 +160,6 @@ TEST(WindowedLedger, RejectsBadPolicy) {
   EXPECT_THROW(windowed_ledger({4, -1.0}), std::invalid_argument);
 }
 
-TEST(WindowedLedger, RejectsHeterogeneousOverFixedPoint) {
-  EXPECT_THROW(Ledger(LedgerConfig{LedgerPolicy::kAdvancedHeterogeneous,
-                                   LedgerBackend::kFixedPoint, 1.0, 0.1, 1e-6,
-                                   WindowPolicy{}}),
-               std::invalid_argument);
-}
-
 TEST(WindowedLedger, EpochsMapOntoFixedWindows) {
   const Ledger ledger = windowed_ledger({4, 0.0});
   EXPECT_EQ(ledger.window_of(0), 0u);
@@ -335,7 +259,6 @@ class LedgerSession : public ::testing::Test {
   static LedgerConfig ceilings(double epsilon, double delta, double slack) {
     return {.policy = slack > 0.0 ? LedgerPolicy::kAdvancedHeterogeneous
                                   : LedgerPolicy::kBasic,
-            .backend = LedgerBackend::kExact,
             .epsilon_ceiling = epsilon,
             .delta_ceiling = delta,
             .advanced_slack = slack,

@@ -1,18 +1,19 @@
-// Property suite for dp::Ledger — the unification contract.
+// Property suite for the two budget ledgers: dp::Ledger (the exact
+// accountant of the eval/mia paths) and the serving layer's per-user
+// fixed-point meter (service::SessionTable on dp::AtomicBudgetMeter).
 //
-// The Ledger replaced three disjoint accounting stacks (the historical
-// PrivacyAccountant, the WindowedAccountant, and the serving layer's
-// bespoke meter admission). This suite replays 200 seeded random charge
-// schedules against verbatim in-test ports of the legacy accountants as
-// oracles and asserts:
+// The Ledger replaced two disjoint exact accounting stacks (the
+// historical PrivacyAccountant and WindowedAccountant). This suite
+// replays 200 seeded random charge schedules against verbatim in-test
+// ports of the legacy accountants as oracles and asserts:
 //
-//   1. the exact backend makes the SAME admit/deny decision and
-//      composes to the SAME (bit-identical) totals as the legacy code;
-//   2. the fixed-point backend is never LOOSER than the exact one — it
-//      never admits a charge the exact basic accountant denies — and
-//      its remaining budget tracks the exact one within the documented
-//      quantization bound;
-//   3. concurrent charges against one fixed-point ledger conserve
+//   1. the Ledger makes the SAME admit/deny decision and composes to the
+//      SAME (bit-identical) totals as the legacy code;
+//   2. the session table is never LOOSER than an exact kBasic Ledger
+//      with the same ceilings — it never admits a charge the Ledger
+//      denies — and its remaining budget tracks the Ledger's within the
+//      documented quantization bound;
+//   3. concurrent charges against one session-table user conserve
 //      budget (run under TSan via the `tsan` ctest label).
 #include <atomic>
 #include <cmath>
@@ -26,7 +27,9 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "dp/budget.h"
 #include "dp/ledger.h"
+#include "service/session_table.h"
 
 namespace poiprivacy::dp {
 namespace {
@@ -175,13 +178,13 @@ PrivacyParams random_params(common::Rng& rng) {
 }
 
 // ---------------------------------------------------------------------------
-// 1. Exact backend vs the legacy accountants: bit-identical.
+// 1. Ledger vs the legacy accountants: bit-identical.
 // ---------------------------------------------------------------------------
 
 TEST(LedgerOracle, ExactBasicMatchesLegacyAccountantBitForBit) {
   for (int seed = 0; seed < kSeeds; ++seed) {
     common::Rng rng(1000 + seed);
-    Ledger ledger(LedgerConfig{});  // unbounded exact basic
+    Ledger ledger(LedgerConfig{});  // unbounded basic
     LegacyAccountant oracle;
     const int charges = static_cast<int>(rng.uniform_int(1, 64));
     for (int i = 0; i < charges; ++i) {
@@ -209,8 +212,8 @@ TEST(LedgerOracle, WindowedRenewalMatchesLegacyWindowedAccountant) {
     const WindowPolicy policy{
         static_cast<std::size_t>(rng.uniform_int(1, 6)),
         rng.bernoulli(0.5) ? 0.0 : rng.uniform(0.5, 4.0)};
-    Ledger ledger(LedgerConfig{LedgerPolicy::kWindowedRenewal,
-                               LedgerBackend::kExact, 0.0, 0.0, 0.0, policy});
+    Ledger ledger(LedgerConfig{.policy = LedgerPolicy::kWindowedRenewal,
+                               .window = policy});
     LegacyWindowedAccountant oracle(policy);
     const int charges = static_cast<int>(rng.uniform_int(1, 64));
     for (int i = 0; i < charges; ++i) {
@@ -247,8 +250,19 @@ TEST(LedgerOracle, WindowedRenewalMatchesLegacyWindowedAccountant) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Fixed-point backend tightness: never looser than exact basic.
+// 2. Session-table tightness: never looser than the exact basic Ledger.
 // ---------------------------------------------------------------------------
+
+constexpr service::UserId kUser = 7;
+
+service::SessionTable session_table(double epsilon_ceiling,
+                                    double delta_ceiling) {
+  return service::SessionTable(
+      service::SessionTableConfig{.capacity = 64,
+                                  .shards = 4,
+                                  .epsilon_ceiling = epsilon_ceiling,
+                                  .delta_ceiling = delta_ceiling});
+}
 
 TEST(LedgerTightness, FixedNeverAdmitsWhatExactDenies) {
   for (int seed = 0; seed < kSeeds; ++seed) {
@@ -257,42 +271,44 @@ TEST(LedgerTightness, FixedNeverAdmitsWhatExactDenies) {
     // ceil/floor regime, where the directional guarantee is exact.
     const double eps_ceiling = rng.uniform(0.2, 6.0);
     const double delta_ceiling = rng.uniform(0.01, 0.4);
-    const LedgerConfig base{LedgerPolicy::kBasic, LedgerBackend::kExact,
-                            eps_ceiling, delta_ceiling, 0.0, WindowPolicy{}};
-    LedgerConfig fixed_config = base;
-    fixed_config.backend = LedgerBackend::kFixedPoint;
-    Ledger exact(base);
-    Ledger fixed(fixed_config);
+    service::SessionTable table = session_table(eps_ceiling, delta_ceiling);
+    Ledger exact(LedgerConfig{.policy = LedgerPolicy::kBasic,
+                              .epsilon_ceiling = eps_ceiling,
+                              .delta_ceiling = delta_ceiling,
+                              .window = {}});
     std::size_t admitted = 0;
     for (int i = 0; i < 96; ++i) {
       const PrivacyParams params{rng.uniform(1e-4, 1.0),
                                  rng.uniform(0.0, 0.02)};
-      // The serving layer admits on the fixed meter; the exact ledger is
-      // the bookkeeping shadow. Tightness: whatever the meter lets
-      // through, the exact accountant would have let through too.
-      const bool fixed_denies = fixed.would_exceed(params);
-      ASSERT_EQ(fixed.try_charge(params), !fixed_denies)
-          << "single-threaded peek must agree with the charge";
-      if (!fixed_denies) {
-        ASSERT_FALSE(exact.would_exceed(params))
-            << "seed " << seed << " charge " << i
-            << ": fixed admitted a charge the exact backend denies";
-        exact.charge(params);
-        ++admitted;
+      // The serving layer admits on the session table's meter; the exact
+      // ledger is the bookkeeping shadow. Tightness: whatever the meter
+      // lets through, the exact accountant would have let through too.
+      if (table.try_charge(kUser, FixedBudget::cost_of(params)) !=
+          service::ChargeOutcome::kCharged) {
+        continue;
       }
+      ASSERT_FALSE(exact.would_exceed(params))
+          << "seed " << seed << " charge " << i
+          << ": the session table admitted a charge the Ledger denies";
+      exact.charge(params);
+      ++admitted;
+      // Costs only round up, or snap within a relative 1e-9 (dp/budget.h):
+      // the meter never holds less than the exact sums beyond that snap.
+      const PrivacyParams metered = table.spent(kUser);
+      ASSERT_GE(metered.epsilon, exact.spent().epsilon * (1.0 - 2e-9));
+      ASSERT_GE(metered.delta, exact.spent().delta * (1.0 - 2e-9));
     }
     ASSERT_EQ(exact.releases(), admitted);
-    ASSERT_EQ(fixed.releases(), admitted);
     // Remaining budgets agree within the quantization bound: each
     // admitted charge over-charges by < 1 unit per component, the
     // ceiling under-allows by < 1 unit.
+    const PrivacyParams fixed_left = table.remaining(kUser);
     const double eps_bound = 1e-6 * static_cast<double>(admitted + 2);
     const double delta_bound = 1e-9 * static_cast<double>(admitted + 2);
-    ASSERT_NEAR(fixed.remaining().epsilon, exact.remaining().epsilon,
-                eps_bound);
-    ASSERT_NEAR(fixed.remaining().delta, exact.remaining().delta, delta_bound);
-    ASSERT_GE(exact.remaining().epsilon + 1e-12, fixed.remaining().epsilon)
-        << "the fixed backend may never report MORE remaining budget";
+    ASSERT_NEAR(fixed_left.epsilon, exact.remaining().epsilon, eps_bound);
+    ASSERT_NEAR(fixed_left.delta, exact.remaining().delta, delta_bound);
+    ASSERT_GE(exact.remaining().epsilon + 1e-12, fixed_left.epsilon)
+        << "the session table may never report MORE remaining budget";
   }
 }
 
@@ -300,29 +316,20 @@ TEST(LedgerTightness, UnitExactSchedulesComposeIdentically) {
   // The shipped policies are exact in 1e-6/1e-9 units; the snap rule
   // must keep their fixed-point sums equal to llround of the double
   // sums (the historical golden-compatible behavior).
-  Ledger fixed(LedgerConfig{LedgerPolicy::kBasic, LedgerBackend::kFixedPoint,
-                            6.0, 0.5, 0.0, WindowPolicy{}});
-  for (int i = 0; i < 7; ++i) ASSERT_TRUE(fixed.try_charge({0.5, 0.01}));
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(fixed.try_charge({0.1, 0.001}));
-  ASSERT_EQ(fixed.fixed_spent().epsilon_units, 7u * 500000u + 5u * 100000u);
-  ASSERT_EQ(fixed.fixed_spent().delta_units, 7u * 10000000u + 5u * 1000000u);
+  AtomicBudgetMeter meter;
+  const FixedBudget ceiling = FixedBudget::ceiling_of(6.0, 0.5);
+  for (int i = 0; i < 7; ++i) {
+    ASSERT_TRUE(meter.try_charge(FixedBudget::cost_of({0.5, 0.01}), ceiling));
+  }
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(meter.try_charge(FixedBudget::cost_of({0.1, 0.001}), ceiling));
+  }
+  ASSERT_EQ(meter.spent().epsilon_units, 7u * 500000u + 5u * 100000u);
+  ASSERT_EQ(meter.spent().delta_units, 7u * 10000000u + 5u * 1000000u);
   // Sub-unit components never quantize to free.
   const FixedBudget tiny = FixedBudget::cost_of({1e-9, 1e-12});
   ASSERT_EQ(tiny.epsilon_units, 1u);
   ASSERT_EQ(tiny.delta_units, 1u);
-}
-
-TEST(LedgerTightness, WindowedFixedRenewsAtBoundary) {
-  Ledger ledger(LedgerConfig{LedgerPolicy::kWindowedRenewal,
-                             LedgerBackend::kFixedPoint, 0.0, 0.0, 0.0,
-                             WindowPolicy{4, 1.0}});
-  ASSERT_TRUE(ledger.try_charge({1.0, 0.0}, 0));
-  ASSERT_FALSE(ledger.try_charge({0.001, 0.0}, 3));
-  // Epoch 4 opens window 1: the peek sees a fresh meter before any
-  // mutator rolls the window, and the charge succeeds.
-  ASSERT_FALSE(ledger.would_exceed({1.0, 0.0}, 4));
-  ASSERT_TRUE(ledger.try_charge({1.0, 0.0}, 4));
-  ASSERT_FALSE(ledger.try_charge({0.001, 0.0}, 7));
 }
 
 // ---------------------------------------------------------------------------
@@ -330,20 +337,21 @@ TEST(LedgerTightness, WindowedFixedRenewsAtBoundary) {
 // ---------------------------------------------------------------------------
 
 TEST(LedgerConcurrency, ConcurrentChargesConserveBudget) {
-  // 8 threads race 1000 charges of eps 0.001 each against a 4.0 epsilon
-  // ceiling: exactly 4000 of the 8000 can be admitted, no interleaving
-  // may overshoot, and the meter must end exactly at the ceiling.
-  Ledger ledger(LedgerConfig{LedgerPolicy::kBasic, LedgerBackend::kFixedPoint,
-                             4.0, 0.0, 0.0, WindowPolicy{}});
+  // 8 threads race 1000 charges of eps 0.001 each against one user under
+  // a 4.0 epsilon ceiling: exactly 4000 of the 8000 can be admitted, no
+  // interleaving may overshoot, and the meter must end exactly at the
+  // ceiling.
+  service::SessionTable table = session_table(4.0, 0.5);
+  const FixedBudget cost = FixedBudget::cost_of({0.001, 0.0});
   constexpr int kThreads = 8;
   constexpr int kPerThread = 1000;
   std::atomic<std::size_t> admitted{0};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&ledger, &admitted] {
+    threads.emplace_back([&table, &admitted, cost] {
       for (int i = 0; i < kPerThread; ++i) {
-        if (ledger.try_charge({0.001, 0.0})) {
+        if (table.try_charge(kUser, cost) == service::ChargeOutcome::kCharged) {
           admitted.fetch_add(1, std::memory_order_relaxed);
         }
       }
@@ -351,9 +359,10 @@ TEST(LedgerConcurrency, ConcurrentChargesConserveBudget) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(admitted.load(), 4000u);
-  EXPECT_EQ(ledger.releases(), 4000u);
-  EXPECT_EQ(ledger.fixed_spent().epsilon_units, 4000000u);
-  EXPECT_TRUE(ledger.would_exceed({0.001, 0.0}));
+  EXPECT_EQ(table.spent(kUser).epsilon, 4.0);
+  EXPECT_EQ(table.remaining(kUser).epsilon, 0.0);
+  EXPECT_EQ(table.try_charge(kUser, cost),
+            service::ChargeOutcome::kWouldExceed);
 }
 
 }  // namespace

@@ -203,8 +203,9 @@ TEST(StreamRelease, GoldenNoisedTable) {
   common::Rng rng(99);
   poi::FreqArena arena;
   dp::Ledger ledger(dp::LedgerConfig{
-      dp::LedgerPolicy::kWindowedRenewal, dp::LedgerBackend::kExact, 0.0, 0.0,
-      0.0, config.accounting});
+      .policy = dp::LedgerPolicy::kWindowedRenewal,
+      .window = config.accounting,
+  });
   releaser.release(group, 0, 4, rng, arena, &ledger);
   // Laplace(eps=1, sens=4) draws from Rng(99) in window-major order,
   // rounded and clamped at zero.

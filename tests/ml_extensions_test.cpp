@@ -1,12 +1,9 @@
 #include <cmath>
-#include <numeric>
-#include <set>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "ml/kernel_ridge.h"
-#include "ml/svm.h"
 #include "ml/validation.h"
 
 namespace poiprivacy::ml {
@@ -79,62 +76,6 @@ TEST(KernelRidge, EmptyTrainingPredictsZero) {
   KernelRidge model;
   model.train(Matrix(0, 0), std::vector<double>{});
   EXPECT_DOUBLE_EQ(model.predict(std::vector<double>{1.0}), 0.0);
-}
-
-TEST(KFold, PartitionsExactlyOnce) {
-  common::Rng rng(11);
-  const auto folds = k_fold_indices(23, 5, rng);
-  ASSERT_EQ(folds.size(), 5u);
-  std::set<std::size_t> seen;
-  for (const auto& fold : folds) {
-    EXPECT_GE(fold.size(), 4u);
-    EXPECT_LE(fold.size(), 5u);
-    for (const std::size_t i : fold) {
-      EXPECT_TRUE(seen.insert(i).second) << "index appears twice";
-    }
-  }
-  EXPECT_EQ(seen.size(), 23u);
-}
-
-TEST(CrossValidate, AveragesFoldScores) {
-  common::Rng rng(13);
-  int calls = 0;
-  const double mean_score = cross_validate(
-      30, 3, rng,
-      [&calls](std::span<const std::size_t> train,
-               std::span<const std::size_t> test) {
-        ++calls;
-        EXPECT_EQ(train.size() + test.size(), 30u);
-        return static_cast<double>(calls);  // 1, 2, 3
-      });
-  EXPECT_EQ(calls, 3);
-  EXPECT_DOUBLE_EQ(mean_score, 2.0);
-}
-
-TEST(CrossValidate, SvmOnBlobsScoresHigh) {
-  common::Rng rng(17);
-  Matrix x(150, 2);
-  std::vector<int> labels(150);
-  for (std::size_t i = 0; i < 150; ++i) {
-    const int label = rng.bernoulli(0.5) ? 1 : -1;
-    labels[i] = label;
-    x.at(i, 0) = label * 2.0 + rng.normal(0.0, 0.5);
-    x.at(i, 1) = rng.normal(0.0, 0.5);
-  }
-  const double score = cross_validate(
-      x.rows(), 4, rng,
-      [&](std::span<const std::size_t> train_idx,
-          std::span<const std::size_t> test_idx) {
-        SvmClassifier model;
-        common::Rng fold_rng(99);
-        const Matrix x_train = take_rows(x, train_idx);
-        const std::vector<int> y_train = take(std::span(labels), train_idx);
-        model.train(x_train, y_train, fold_rng);
-        const Matrix x_test = take_rows(x, test_idx);
-        const std::vector<int> y_test = take(std::span(labels), test_idx);
-        return accuracy(y_test, model.predict(x_test));
-      });
-  EXPECT_GT(score, 0.9);
 }
 
 TEST(ConfusionMatrix, CountsAndMetrics) {

@@ -12,7 +12,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -153,6 +155,64 @@ TEST(NetFraming, ResponseCodecRejectsMalformedBytes) {
 
   EXPECT_FALSE(
       net::decode_response(std::vector<std::uint8_t>(5, 0)).has_value());
+}
+
+/// Byte-by-byte little-endian reference of the wire layout in net/frame.h.
+void append_le(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  }
+}
+
+TEST(NetFraming, EncodersMatchByteByByteReference) {
+  // A 177-type response (the Beijing category count), extremes included.
+  common::Rng rng(177);
+  service::ReleaseResult result;
+  result.status = service::ReleaseStatus::kGranted;
+  result.served_policy = 2;
+  result.cache_hit = true;
+  result.spent = {0.75, 1e-6};
+  result.vector.resize(177);
+  for (std::int32_t& v : result.vector) {
+    v = static_cast<std::int32_t>(rng.uniform_int(-5, 1 << 20));
+  }
+  result.vector.front() = std::numeric_limits<std::int32_t>::min();
+  result.vector.back() = std::numeric_limits<std::int32_t>::max();
+  std::vector<std::uint8_t> want;
+  want.push_back(static_cast<std::uint8_t>(result.status));
+  append_le(want, result.served_policy, 4);
+  want.push_back(1);
+  append_le(want, std::bit_cast<std::uint64_t>(result.spent.epsilon), 8);
+  append_le(want, std::bit_cast<std::uint64_t>(result.spent.delta), 8);
+  append_le(want, result.vector.size(), 4);
+  for (const std::int32_t v : result.vector) {
+    append_le(want, static_cast<std::uint32_t>(v), 4);
+  }
+  // A reused buffer that held a longer frame keeps none of its bytes.
+  std::vector<std::uint8_t> body(4096, 0xab);
+  net::encode_response(result, body);
+  EXPECT_EQ(body, want);
+
+  const service::ReleaseRequest request{
+      0xdeadbeef12345678ull, {3.25, -7.5}, 0.625, 3};
+  want.clear();
+  append_le(want, request.user_id, 8);
+  append_le(want, std::bit_cast<std::uint64_t>(request.location.x), 8);
+  append_le(want, std::bit_cast<std::uint64_t>(request.location.y), 8);
+  append_le(want, std::bit_cast<std::uint64_t>(request.radius), 8);
+  append_le(want, request.policy, 4);
+  net::encode_request(request, body);
+  EXPECT_EQ(body, want);
+
+  const service::StreamRequest stream{0x1122334455667788ull, 7, 2, 6, 1};
+  want.assign(1, net::kStreamRequestKind);
+  append_le(want, stream.user_id, 8);
+  append_le(want, stream.series, 4);
+  append_le(want, stream.begin_epoch, 4);
+  append_le(want, stream.end_epoch, 4);
+  append_le(want, stream.policy, 4);
+  net::encode_stream_request(stream, body);
+  EXPECT_EQ(body, want);
 }
 
 /// Frame I/O is exercised over a socketpair — real fds, no listener.
