@@ -30,10 +30,13 @@
 #      never an observable one,
 #   7. an Address+UB-Sanitizer build (float-cast-overflow included)
 #      running the kernel, fingerprint, tile-window, spatial, cloak,
-#      release, linkage and region re-id property suites and the service
-#      and mia suites under both the native and the scalar tier (the
-#      stream releases of both round Laplace-noised counts to int32, which
-#      their tiny-epsilon tests drive past INT32_MAX; the explicit SIMD
+#      release, linkage, region re-id and session-shard property suites
+#      and the service and mia suites under both the native and the
+#      scalar tier (the session table's sweep erases map nodes while it
+#      walks a shard, and the property suite races it against charging
+#      threads; the stream releases of the service and mia suites round
+#      Laplace-noised counts to int32, which their tiny-epsilon tests
+#      drive past INT32_MAX; the explicit SIMD
 #      kernels read memory in 32-byte gulps, the quadtree's exact-node
 #      descent indexes children by hand, the release rounding casts
 #      doubles to integers, the grid index casts query coordinates to
@@ -44,10 +47,11 @@
 #      visits, and region re-id indexes type blocks by type row and
 #      candidate lane, including the pad lanes past the last candidate,
 #      which the region re-id suite drives at 1 to 129 candidates;
-#      ASan/UBSan prove all six stay in bounds),
-#   8. the serving-layer concurrency gate: the session-shard stress,
-#      property and net-framing suites re-run under the ThreadSanitizer
-#      build, then a Release loopback smoke drives the TCP front-end
+#      ASan/UBSan prove each stays in bounds),
+#   8. the serving-layer concurrency gate: the service stress,
+#      session-shard property (mutex-per-shard session table, with epoch
+#      ticks, sweeps and window renewals racing concurrent charges) and
+#      net-framing suites re-run under the ThreadSanitizer build, then a Release loopback smoke drives the TCP front-end
 #      (poibench --connections) and asserts every request came back, and
 #      an in-process --threads 1 run asserts that a steady-state hot
 #      release allocates exactly its response,
@@ -58,8 +62,9 @@
 #      Release --json smoke must emit a parseable sweep, and the linkage
 #      property suite re-runs under the ThreadSanitizer build,
 #  10. the ledger gate: the budget-ledger property suite (dp::Ledger
-#      legacy-oracle equivalence + SessionTable never-looser tightness
-#      + SessionTable concurrent conservation) re-runs under the
+#      legacy-oracle equivalence + fixed-point SessionTable never-looser
+#      tightness + 8 threads charging one SessionTable user under its
+#      shard mutex, conserving budget exactly) re-runs under the
 #      ThreadSanitizer build, the stream_utility smoke
 #      must be byte-identical at --threads 1/2/8, and a loopback
 #      renewal smoke (--renew/--waves) must show budget_exhausted
@@ -191,12 +196,13 @@ for threads in 1 2 8; do
   echo "poibench smoke: scalar == native tier at --threads $threads"
 done
 
-echo "== [7/11] ASan/UBSan build + kernel/spatial/cloak/linkage/re-id/service/mia suites per tier =="
+echo "== [7/11] ASan/UBSan build + kernel/spatial/cloak/linkage/re-id/session/service/mia suites per tier =="
 cmake -B build-asan -S . -DPOIPRIVACY_SANITIZE=address >/dev/null
 asan_suites=(kernel_property_test fingerprint_property_test
              tile_window_property_test spatial_property_test
              cloak_property_test release_property_test service_test
-             mia_test linkage_property_test region_reid_property_test)
+             mia_test linkage_property_test region_reid_property_test
+             session_shard_property_test)
 cmake --build build-asan -j "$jobs" --target "${asan_suites[@]}"
 for tier in native scalar; do
   env_prefix=()

@@ -1,51 +1,51 @@
-// Lock-free fixed-point privacy budgets — the admission hot path of the
-// serving layer (service::SessionTable holds one meter per user).
+// Fixed-point privacy budgets — the admission arithmetic of the serving
+// layer (service::SessionTable holds one spent budget per user).
 //
 // dp::Ledger composes a release history exactly, but its admission
 // predicates cost a map copy (and exp/log for the advanced bound) per
-// request and need external locking for concurrent use. The serving
-// layer's admission decision, however, only needs the running basic
-// composition against a fixed ceiling — a pair of bounded sums. This
-// header makes that pair a single 64-bit word:
+// request. The serving layer's admission decision, however, only needs
+// the running basic composition against a fixed ceiling — a pair of
+// bounded integer sums:
 //
-//   bits 63..32  charged epsilon, units of 1e-6   (max ~4294 epsilon)
-//   bits 31..0   charged delta,   units of 1e-9   (max ~4.29 delta)
+//   epsilon   units of 1e-6, 32 bits   (max ~4294 epsilon)
+//   delta     units of 1e-9, 32 bits   (max ~4.29 delta)
 //
-// so `try_charge` is one compare-and-swap: load the word, add the cost,
-// refuse if either component would pass its ceiling, CAS. Admission is
-// linearizable — under any interleaving of concurrent charges a user's
-// spent budget can never exceed the ceiling, and no mutex is taken.
+// so `try_charge` is two saturating adds and two compares: add the cost,
+// refuse if either component would pass its ceiling. The caller owns the
+// locking (SessionTable takes its shard mutex around every charge).
 //
 // Quantization contract — conservative by construction: costs
 // SNAP-OR-CEIL and ceilings SNAP-OR-FLOOR. A value that is exact in
 // 1e-6/1e-9 units up to floating-point noise (0.25, 0.5, 1.0, 0.05, ...
 // — every shipped policy) snaps to that unit, so those schedules compose
 // bit-identically to the double sums; any other value rounds UP as a
-// cost and DOWN as a ceiling. Hence for every charge schedule
+// cost and DOWN as a ceiling. "Floating-point noise" is a few ulps of
+// v * scale, never a fraction of a unit, so a value a hair above a unit
+// boundary still charges the next unit. Hence for every charge schedule
 //
 //   sum of unit costs  >=  ceil(true epsilon sum * scale)   (per comp.)
 //   unit ceiling       <=  floor(true ceiling * scale)
 //
 // so whenever an exact kBasic dp::Ledger refuses (true sum + cost >
-// ceiling), the meter refuses too: a SessionTable user is never LOOSER
+// ceiling), the budget refuses too: a SessionTable user is never LOOSER
 // than the exact Ledger with the same ceilings (test-enforced by
 // tests/ledger_property_test, LedgerTightness). Sub-unit values still
 // never quantize to free — a positive epsilon charges at least one
 // epsilon unit and a positive delta (even the Gaussian 1e-12 floor) at
 // least one delta unit.
 //
-// Composition semantics: the meter is BASIC composition. Where the
+// Composition semantics: the budget is BASIC composition. Where the
 // tightest-of(basic, advanced) bound is tighter (many releases at a
-// small epsilon), the meter refuses no later than a basic-composition
-// accountant would — admission under the meter is never looser than the
-// bound it enforces. Advanced composition remains available offline via
+// small epsilon), the budget refuses no later than a basic-composition
+// accountant would — admission under it is never looser than the bound
+// it enforces. Advanced composition remains available offline via
 // dp::Ledger.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 
 #include "dp/mechanisms.h"
 
@@ -78,6 +78,27 @@ struct FixedBudget {
             quantize_down(delta_ceiling, kDeltaScale)};
   }
 
+  /// Adds `cost` to this spent budget unless either component would pass
+  /// `ceiling`; returns false (and charges nothing) when it would. Each
+  /// component saturates at kMaxUnits rather than wrapping.
+  bool try_charge(FixedBudget cost, FixedBudget ceiling) noexcept {
+    const FixedBudget next{saturating_add(epsilon_units, cost.epsilon_units),
+                           saturating_add(delta_units, cost.delta_units)};
+    if (next.epsilon_units > ceiling.epsilon_units ||
+        next.delta_units > ceiling.delta_units) {
+      return false;
+    }
+    *this = next;
+    return true;
+  }
+
+  /// Componentwise budget left under `ceiling`, floored at zero.
+  FixedBudget remaining(FixedBudget ceiling) const noexcept {
+    return {
+        ceiling.epsilon_units - std::min(epsilon_units, ceiling.epsilon_units),
+        ceiling.delta_units - std::min(delta_units, ceiling.delta_units)};
+  }
+
   PrivacyParams params() const noexcept {
     return {static_cast<double>(epsilon_units) / kEpsilonScale,
             static_cast<double>(delta_units) / kDeltaScale};
@@ -86,12 +107,19 @@ struct FixedBudget {
   friend bool operator==(const FixedBudget&, const FixedBudget&) = default;
 
  private:
-  /// Unit-exact values (llround within a relative 1e-9 of v * scale —
-  /// covers the float noise in e.g. 0.1 * 1e6 = 100000.00000000001)
-  /// snap to the nearest unit; anything else rounds conservatively.
+  /// Unit-exact values (llround within 8 ulps of v * scale — covers the
+  /// float noise in e.g. 0.1 * 1e6 = 100000.00000000001) snap to the
+  /// nearest unit; anything else rounds conservatively.
   static bool snaps(double units, long long nearest) noexcept {
-    const double tolerance = 1e-9 * std::max(1.0, units);
+    const double tolerance =
+        8.0 * std::numeric_limits<double>::epsilon() * std::max(1.0, units);
     return std::abs(units - static_cast<double>(nearest)) <= tolerance;
+  }
+
+  static std::uint32_t saturating_add(std::uint32_t a,
+                                      std::uint32_t b) noexcept {
+    return static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(std::uint64_t{a} + b, kMaxUnits));
   }
 
   static std::uint32_t quantize_up(double v, double scale) noexcept {
@@ -115,71 +143,6 @@ struct FixedBudget {
                                : static_cast<long long>(std::floor(units));
     return static_cast<std::uint32_t>(std::max(down, 0ll));
   }
-};
-
-/// The packed-word ledger for one principal. All operations are lock-free
-/// and linearizable; `try_charge` is the only mutator on the hot path.
-class AtomicBudgetMeter {
- public:
-  /// Charges `cost` unless either component would pass its ceiling.
-  /// Returns false (and charges nothing) when the charge would exceed.
-  bool try_charge(FixedBudget cost, FixedBudget ceiling) noexcept {
-    std::uint64_t seen = word_.load(std::memory_order_relaxed);
-    for (;;) {
-      const FixedBudget next = add(unpack(seen), cost);
-      if (next.epsilon_units > ceiling.epsilon_units ||
-          next.delta_units > ceiling.delta_units) {
-        return false;
-      }
-      if (word_.compare_exchange_weak(seen, pack(next),
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_relaxed)) {
-        return true;
-      }
-    }
-  }
-
-  FixedBudget spent() const noexcept {
-    return unpack(word_.load(std::memory_order_acquire));
-  }
-
-  FixedBudget remaining(FixedBudget ceiling) const noexcept {
-    const FixedBudget used = spent();
-    return {used.epsilon_units >= ceiling.epsilon_units
-                ? 0
-                : ceiling.epsilon_units - used.epsilon_units,
-            used.delta_units >= ceiling.delta_units
-                ? 0
-                : ceiling.delta_units - used.delta_units};
-  }
-
-  /// Budget renewal (TTL eviction / tests). Not linearizable with
-  /// concurrent charges by design — callers quiesce first.
-  void reset() noexcept { word_.store(0, std::memory_order_release); }
-
- private:
-  static std::uint64_t pack(FixedBudget b) noexcept {
-    return (static_cast<std::uint64_t>(b.epsilon_units) << 32) |
-           b.delta_units;
-  }
-  static FixedBudget unpack(std::uint64_t w) noexcept {
-    return {static_cast<std::uint32_t>(w >> 32),
-            static_cast<std::uint32_t>(w & 0xffffffffu)};
-  }
-  /// Saturating add: a meter near the 32-bit rim refuses (via the ceiling
-  /// check) rather than wrapping.
-  static FixedBudget add(FixedBudget a, FixedBudget b) noexcept {
-    const std::uint64_t eps = std::uint64_t{a.epsilon_units} + b.epsilon_units;
-    const std::uint64_t del = std::uint64_t{a.delta_units} + b.delta_units;
-    return {eps > FixedBudget::kMaxUnits
-                ? FixedBudget::kMaxUnits
-                : static_cast<std::uint32_t>(eps),
-            del > FixedBudget::kMaxUnits
-                ? FixedBudget::kMaxUnits
-                : static_cast<std::uint32_t>(del)};
-  }
-
-  std::atomic<std::uint64_t> word_{0};
 };
 
 }  // namespace poiprivacy::dp

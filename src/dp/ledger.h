@@ -16,7 +16,7 @@
 // tests/ledger_property_test against frozen ports of them).
 //
 // The serving layer does not charge through the Ledger: its per-user
-// admission is service::SessionTable on dp::AtomicBudgetMeter
+// admission is service::SessionTable on dp::FixedBudget
 // (dp/budget.h), which is never LOOSER than an exact kBasic Ledger with
 // the same ceilings (also test-enforced by tests/ledger_property_test).
 //

@@ -6,8 +6,8 @@
 // sits on top of them:
 //
 //   * a sharded, fixed-capacity session/budget table (session_table.h):
-//     admission charges are lock-free on the hot path (one CAS on a
-//     fixed-point budget word per request, dp::AtomicBudgetMeter);
+//     one mutex and one map per shard, each session a fixed-point
+//     dp::FixedBudget, so an admission charge is two integer adds;
 //   * admission control: a request whose composed (eps, delta) would
 //     exceed the ceiling is degraded to a cheaper policy (if configured)
 //     or refused with a typed ReleaseStatus — never an exception;
@@ -104,7 +104,8 @@ struct ReleaseRequest {
 
 /// A continual-release request: one series of the attached StreamSource
 /// over the window range [begin_epoch, end_epoch), noised under a
-/// policy. Admission charges num_windows x the policy cost in one CAS.
+/// policy. Admission charges num_windows x the policy cost in one
+/// try_charge.
 struct StreamRequest {
   UserId user_id = 0;
   std::uint32_t series = 0;       ///< index into the source's series
@@ -254,7 +255,9 @@ class ReleaseService {
 
   /// Ticks the session-table and release-cache epoch clocks and runs
   /// both sweeps. Deterministic given the call sequence; the owner
-  /// drives it (batch boundaries, a wall-clock ticker, ...).
+  /// drives it (batch boundaries, a wall-clock ticker, ...) from one
+  /// thread, and may do so while other threads serve: both sweeps lock
+  /// the shards they touch.
   void advance_epoch(std::uint64_t ticks = 1);
 
   ServiceStats stats() const;

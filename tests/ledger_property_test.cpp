@@ -1,6 +1,6 @@
 // Property suite for the two budget ledgers: dp::Ledger (the exact
 // accountant of the eval/mia paths) and the serving layer's per-user
-// fixed-point meter (service::SessionTable on dp::AtomicBudgetMeter).
+// fixed-point budget (service::SessionTable on dp::FixedBudget).
 //
 // The Ledger replaced two disjoint exact accounting stacks (the
 // historical PrivacyAccountant and WindowedAccountant). This suite
@@ -292,11 +292,13 @@ TEST(LedgerTightness, FixedNeverAdmitsWhatExactDenies) {
           << ": the session table admitted a charge the Ledger denies";
       exact.charge(params);
       ++admitted;
-      // Costs only round up, or snap within a relative 1e-9 (dp/budget.h):
-      // the meter never holds less than the exact sums beyond that snap.
+      // Costs only round up (a snap moves a cost by a few ulps at most):
+      // the table never holds less than the exact sums.
       const PrivacyParams metered = table.spent(kUser);
-      ASSERT_GE(metered.epsilon, exact.spent().epsilon * (1.0 - 2e-9));
-      ASSERT_GE(metered.delta, exact.spent().delta * (1.0 - 2e-9));
+      ASSERT_GE(metered.epsilon + 1e-12, exact.spent().epsilon)
+          << "seed " << seed << " charge " << i;
+      ASSERT_GE(metered.delta + 1e-12, exact.spent().delta)
+          << "seed " << seed << " charge " << i;
     }
     ASSERT_EQ(exact.releases(), admitted);
     // Remaining budgets agree within the quantization bound: each
@@ -316,20 +318,54 @@ TEST(LedgerTightness, UnitExactSchedulesComposeIdentically) {
   // The shipped policies are exact in 1e-6/1e-9 units; the snap rule
   // must keep their fixed-point sums equal to llround of the double
   // sums (the historical golden-compatible behavior).
-  AtomicBudgetMeter meter;
+  FixedBudget spent;
   const FixedBudget ceiling = FixedBudget::ceiling_of(6.0, 0.5);
   for (int i = 0; i < 7; ++i) {
-    ASSERT_TRUE(meter.try_charge(FixedBudget::cost_of({0.5, 0.01}), ceiling));
+    ASSERT_TRUE(spent.try_charge(FixedBudget::cost_of({0.5, 0.01}), ceiling));
   }
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(meter.try_charge(FixedBudget::cost_of({0.1, 0.001}), ceiling));
+    ASSERT_TRUE(spent.try_charge(FixedBudget::cost_of({0.1, 0.001}), ceiling));
   }
-  ASSERT_EQ(meter.spent().epsilon_units, 7u * 500000u + 5u * 100000u);
-  ASSERT_EQ(meter.spent().delta_units, 7u * 10000000u + 5u * 1000000u);
+  ASSERT_EQ(spent.epsilon_units, 7u * 500000u + 5u * 100000u);
+  ASSERT_EQ(spent.delta_units, 7u * 10000000u + 5u * 1000000u);
   // Sub-unit components never quantize to free.
   const FixedBudget tiny = FixedBudget::cost_of({1e-9, 1e-12});
   ASSERT_EQ(tiny.epsilon_units, 1u);
   ASSERT_EQ(tiny.delta_units, 1u);
+}
+
+TEST(LedgerTightness, NearUnitValuesNeverRoundLooser) {
+  // A value a few billionths of a unit past a unit boundary is not float
+  // noise: as a cost it charges the next unit, as a ceiling it keeps the
+  // unit below. Only a few ulps of v * scale snap.
+  const FixedBudget cost =
+      FixedBudget::cost_of({5.0000000049, 0.0100000000049});
+  EXPECT_EQ(cost.epsilon_units, 5000001u);
+  EXPECT_EQ(cost.delta_units, 10000001u);
+  const FixedBudget ceiling =
+      FixedBudget::ceiling_of(7.999999996, 0.4999999999996);
+  EXPECT_EQ(ceiling.epsilon_units, 7999999u);
+  EXPECT_EQ(ceiling.delta_units, 499999999u);
+  // Float noise on unit-exact decimals still snaps both ways.
+  EXPECT_EQ(FixedBudget::cost_of({0.3, 0.003}),
+            (FixedBudget{300000u, 3000000u}));
+  EXPECT_EQ(FixedBudget::ceiling_of(0.1 * 3.0, 0.001 * 3.0),
+            (FixedBudget{300000u, 3000000u}));
+}
+
+TEST(LedgerTightness, ChargeSaturatesInsteadOfWrapping) {
+  // Against an "unbounded" ceiling a component pins at kMaxUnits; against
+  // any smaller ceiling the saturated sum is refused.
+  const FixedBudget unbounded{FixedBudget::kMaxUnits, FixedBudget::kMaxUnits};
+  FixedBudget spent{FixedBudget::kMaxUnits - 1, 5};
+  ASSERT_TRUE(spent.try_charge({3, 1}, unbounded));
+  EXPECT_EQ(spent, (FixedBudget{FixedBudget::kMaxUnits, 6}));
+  FixedBudget near_rim{FixedBudget::kMaxUnits - 1, 0};
+  EXPECT_FALSE(near_rim.try_charge({3, 0}, {FixedBudget::kMaxUnits - 1, 1}));
+  EXPECT_EQ(near_rim, (FixedBudget{FixedBudget::kMaxUnits - 1, 0}));
+  EXPECT_EQ(near_rim.remaining({FixedBudget::kMaxUnits, 7}),
+            (FixedBudget{1, 7}));
+  EXPECT_EQ(spent.remaining({4, 4}), (FixedBudget{0, 0}));
 }
 
 // ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@
 //   * conservation: granted + degraded + exhausted + invalid equals the
 //     requests issued (no request lost or double-counted);
 //   * safety: no user's charged budget ever exceeds the ceiling, however
-//     the CAS races resolve;
+//     the charges race;
 //   * the session table never over-admits first contacts past capacity;
 //   * the owner's serve() results match a twin served alone in
 //     everything the other callers' noise indices do not touch.
@@ -30,7 +30,7 @@ namespace {
 
 constexpr std::size_t kThreads = 8;
 constexpr std::size_t kRequestsPerThread = 10000;
-constexpr std::size_t kUsers = 64;  ///< shared across threads: CAS contention
+constexpr std::size_t kUsers = 64;  ///< shared across threads: contention
 
 poi::City stress_city() { return poi::generate_city(poi::test_preset(), 7); }
 
@@ -86,7 +86,7 @@ TEST(ServiceStress, ConcurrentAdmissionConservesAndNeverOverspends) {
           ASSERT_TRUE(result.vector.empty());
         }
         // The spent budget reported with ANY outcome respects the
-        // ceiling (the CAS refuses rather than overshoots).
+        // ceiling (a charge refuses rather than overshoots).
         ASSERT_LE(result.spent.epsilon, config.epsilon_ceiling + 1e-9);
         ASSERT_LE(result.spent.delta, config.delta_ceiling + 1e-9);
       }

@@ -1,5 +1,5 @@
-// Property test: the sharded, lock-free SessionTable against a
-// single-mutex-style reference oracle.
+// Property test: the sharded SessionTable (one mutex and one map per
+// shard) against a single-map reference oracle.
 //
 // The oracle is the obviously-correct implementation — one map of
 // user -> fixed-point ledger guarded by nothing (the test drives both
@@ -14,9 +14,16 @@
 //     is never dropped before sitting idle for a full TTL, no matter
 //     how much budget it has charged,
 //   * the resident/created/evicted/refused counters.
+//
+// Two more tests cover what the oracle cannot: the top of the u64 id
+// space is ordinary, and epoch ticks, sweeps and window renewals racing
+// concurrent charges (what the TCP front-end does) never let a user past
+// the ceiling and leave the counters consistent (a `tsan` suite).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -214,6 +221,106 @@ TEST(SessionShardProperty, SweepNeverDropsActiveSessions) {
   // ...and renews with a fresh budget on recontact.
   EXPECT_EQ(table.try_charge(2, cost), ChargeOutcome::kCharged);
   EXPECT_DOUBLE_EQ(table.spent(2).epsilon, 0.4);
+}
+
+/// User ids arrive as u64s off the wire; none is reserved.
+TEST(SessionShardProperty, TopOfTheIdSpaceIsOrdinary) {
+  service::SessionTableConfig config;
+  config.capacity = 16;
+  config.shards = 4;
+  config.epsilon_ceiling = 1.0;
+  SessionTable table(config);
+  const dp::FixedBudget cost = dp::FixedBudget::cost_of({0.4, 0.0});
+
+  for (const UserId user : {~UserId{0}, ~UserId{0} - 1, ~UserId{0} - 2}) {
+    EXPECT_FALSE(table.contains(user));
+    EXPECT_EQ(table.try_charge(user, cost), ChargeOutcome::kCharged);
+    EXPECT_EQ(table.try_charge(user, cost), ChargeOutcome::kCharged);
+    EXPECT_EQ(table.try_charge(user, cost), ChargeOutcome::kWouldExceed);
+    EXPECT_TRUE(table.contains(user));
+    EXPECT_DOUBLE_EQ(table.spent(user).epsilon, 0.8);
+    EXPECT_NEAR(table.remaining(user).epsilon, 0.2, 1e-12);
+  }
+  EXPECT_EQ(table.size(), 3u);
+  EXPECT_EQ(table.stats().sessions_created, 3u);
+  EXPECT_EQ(table.stats().full_refusals, 0u);
+}
+
+/// Four threads charge a few hundred users while a fifth ticks the epoch
+/// and runs the TTL sweep and the window renewal on every tick — the TCP
+/// front-end's main loop. No read may ever see a budget past the ceiling,
+/// and at quiescence the counters and membership must agree.
+TEST(SessionShardProperty, TicksWhileChargingStayWithinCeiling) {
+  service::SessionTableConfig config;
+  config.capacity = 1024;
+  config.shards = 16;
+  config.ttl_epochs = 1;
+  config.renew_window_epochs = 1;
+  config.epsilon_ceiling = 1.0;
+  config.delta_ceiling = 0.05;
+  SessionTable table(config);
+  const dp::PrivacyParams ceiling = table.ceiling().params();
+  const dp::FixedBudget cost = dp::FixedBudget::cost_of({0.25, 0.01});
+  constexpr UserId kUsers = 300;
+  constexpr int kChargers = 4;
+  constexpr int kTicks = 200;
+  constexpr int kMinCharges = 5000;
+
+  std::atomic<int> ready{0};
+  std::atomic<bool> ticking_done{false};
+  std::atomic<bool> overspent{false};
+  const auto wait_for_all = [&ready] {
+    ready.fetch_add(1);
+    while (ready.load() < kChargers + 1) std::this_thread::yield();
+  };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kChargers; ++t) {
+    threads.emplace_back([&, t] {
+      wait_for_all();
+      common::Rng rng(100 + static_cast<std::uint64_t>(t));
+      for (int i = 0; i < kMinCharges || !ticking_done.load(); ++i) {
+        const auto user = static_cast<UserId>(
+            rng.uniform() * static_cast<double>(kUsers));
+        table.try_charge(user, cost);
+        const dp::PrivacyParams spent = table.spent(user);
+        if (spent.epsilon > ceiling.epsilon || spent.delta > ceiling.delta) {
+          overspent.store(true);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    wait_for_all();
+    for (int tick = 0; tick < kTicks; ++tick) {
+      table.advance_epoch();
+      table.sweep();
+      table.renew_windows();
+      std::this_thread::yield();
+    }
+    ticking_done.store(true);
+  });
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_FALSE(overspent.load()) << "a spent read passed the ceiling";
+  const service::SessionTableStats stats = table.stats();
+  EXPECT_GT(stats.evictions_ttl, 0u) << "the sweeps never overlapped";
+  EXPECT_EQ(stats.sessions, stats.sessions_created - stats.evictions_ttl);
+  EXPECT_EQ(stats.sessions, table.size());
+  std::size_t members = 0;
+  for (UserId user = 0; user < kUsers; ++user) {
+    if (table.contains(user)) {
+      ++members;
+      EXPECT_LE(table.spent(user).epsilon, ceiling.epsilon);
+    } else {
+      EXPECT_EQ(table.spent(user).epsilon, 0.0) << "user " << user;
+      EXPECT_EQ(table.remaining(user).epsilon, ceiling.epsilon);
+    }
+  }
+  EXPECT_EQ(members, table.size());
+  // One more idle tick and every session is gone.
+  table.advance_epoch();
+  EXPECT_EQ(table.sweep(), members);
+  EXPECT_EQ(table.size(), 0u);
 }
 
 }  // namespace
