@@ -31,12 +31,15 @@
 #   7. an Address+UB-Sanitizer build (float-cast-overflow included)
 #      running the kernel, fingerprint, tile-window, spatial, cloak,
 #      release, linkage, region re-id and session-shard property suites
-#      and the service and mia suites under both the native and the
+#      and the poi, service and mia suites under both the native and the
 #      scalar tier (the session table's sweep erases map nodes while it
 #      walks a shard, and the property suite races it against charging
-#      threads; the stream releases of the service and mia suites round
-#      Laplace-noised counts to int32, which their tiny-epsilon tests
-#      drive past INT32_MAX; the explicit SIMD
+#      threads; the anchor cache's map owns every entry, and a thread
+#      that computes a key another thread stored first frees its own
+#      copy, which poi_test's racing cold lookups drive; the stream
+#      releases of the service and mia suites round Laplace-noised
+#      counts to int32, which their tiny-epsilon tests drive past
+#      INT32_MAX; the explicit SIMD
 #      kernels read memory in 32-byte gulps, the quadtree's exact-node
 #      descent indexes children by hand, the release rounding casts
 #      doubles to integers, the grid index casts query coordinates to
@@ -196,13 +199,13 @@ for threads in 1 2 8; do
   echo "poibench smoke: scalar == native tier at --threads $threads"
 done
 
-echo "== [7/11] ASan/UBSan build + kernel/spatial/cloak/linkage/re-id/session/service/mia suites per tier =="
+echo "== [7/11] ASan/UBSan build + kernel/spatial/cloak/linkage/re-id/session/poi/service/mia suites per tier =="
 cmake -B build-asan -S . -DPOIPRIVACY_SANITIZE=address >/dev/null
 asan_suites=(kernel_property_test fingerprint_property_test
              tile_window_property_test spatial_property_test
              cloak_property_test release_property_test service_test
              mia_test linkage_property_test region_reid_property_test
-             session_shard_property_test)
+             session_shard_property_test poi_test)
 cmake --build build-asan -j "$jobs" --target "${asan_suites[@]}"
 for tier in native scalar; do
   env_prefix=()

@@ -49,7 +49,7 @@ Workbench::Workbench(const WorkbenchConfig& config)
   checkin_config.num_users = config.num_checkin_users;
   checkin_config.checkins_per_user = config.checkins_per_user;
   common::Rng checkin_rng = rng.fork();
-  checkin_trajectories_ =
+  const std::vector<traj::Trajectory> checkin_trajectories =
       traj::generate_checkins(nyc_, checkin_config, checkin_rng);
 
   common::Rng sample_rng = rng.fork();
@@ -58,7 +58,7 @@ Workbench::Workbench(const WorkbenchConfig& config)
   locations_[1] = random_locations(beijing_.db.bounds(),
                                    config.locations_per_dataset, sample_rng);
   locations_[2] = traj::sample_locations(
-      checkin_trajectories_, config.locations_per_dataset, sample_rng);
+      checkin_trajectories, config.locations_per_dataset, sample_rng);
   locations_[3] = random_locations(nyc_.db.bounds(),
                                    config.locations_per_dataset, sample_rng);
 }

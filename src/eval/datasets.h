@@ -39,7 +39,7 @@ struct WorkbenchConfig {
   std::size_t checkins_per_user = 40;
 };
 
-/// Owns the cities, the raw traces, and the per-dataset location samples.
+/// Owns the cities, the taxi traces, and the per-dataset location samples.
 class Workbench {
  public:
   explicit Workbench(const WorkbenchConfig& config = {});
@@ -56,9 +56,6 @@ class Workbench {
   const std::vector<traj::Trajectory>& taxi_trajectories() const noexcept {
     return taxi_trajectories_;
   }
-  const std::vector<traj::Trajectory>& checkin_trajectories() const noexcept {
-    return checkin_trajectories_;
-  }
 
   const WorkbenchConfig& config() const noexcept { return config_; }
 
@@ -67,7 +64,6 @@ class Workbench {
   poi::City beijing_;
   poi::City nyc_;
   std::vector<traj::Trajectory> taxi_trajectories_;
-  std::vector<traj::Trajectory> checkin_trajectories_;
   std::vector<geo::Point> locations_[4];
 };
 

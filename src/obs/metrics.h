@@ -5,10 +5,10 @@
 // Three metric kinds, owned by a Registry and handed out as stable
 // references (find-or-create by dotted name, e.g. "parallel.tasks"):
 //
-//   * Counter — monotone; one relaxed-atomic word. Components that count
-//     their own events (ReleaseService, the anchor cache) hold Counters as
-//     plain members and report them through their stats structs, so each
-//     event is counted once, per instance.
+//   * Counter — monotone; one relaxed-atomic word. A component that
+//     counts its own events (ReleaseService) holds Counters as plain
+//     members and reports them through its stats struct, so each event
+//     is counted once, per instance.
 //   * Gauge   — a last-write-wins relaxed-atomic level (the pool's queue
 //     depth).
 //   * Histogram — count/sum/min/max plus *exact* p50/p95/p99 over the

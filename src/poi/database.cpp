@@ -1,7 +1,6 @@
 #include "poi/database.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cassert>
 #include <limits>
@@ -9,92 +8,61 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
-
-#include "obs/metrics.h"
+#include <unordered_map>
 
 namespace poiprivacy::poi {
 
-// Anchor aggregates and type blocks in one dense slot table per distinct
-// radius (keyed by the radius's bit pattern): |POIs| atomic pointers
-// indexed by POI id plus |types| indexed by type id. The tables form an
-// append-only list whose head is published with a release store; adding
-// a radius is the only step under a lock, so a hit is a short list scan
-// plus one acquire load. Entries are never evicted: the key space is
+// Anchor aggregates and type blocks in one table per distinct radius
+// (keyed by the radius's bit pattern): |POIs| entries indexed by POI id
+// plus |types| indexed by type id, all under one mutex. Entries are
+// computed outside the lock and never evicted: the key space is
 // (|POIs| + |types|) x |query radii in a run|, and the attacks probe the
 // same few radii thousands of times each.
 struct PoiDatabase::AnchorCache {
-  using Slot = std::atomic<const AnchorAggregate*>;
-  using BlockSlot = std::atomic<const TypeBlock*>;
-
   struct Table {
-    Table(std::uint64_t bits, std::size_t num_pois, std::size_t num_types,
-          const Table* older)
-        : radius_bits(bits), next(older), slots(num_pois), blocks(num_types) {}
-    Table(const Table&) = delete;
-    Table& operator=(const Table&) = delete;
-    ~Table() {
-      for (Slot& slot : slots) delete slot.load(std::memory_order_relaxed);
-      for (BlockSlot& slot : blocks) {
-        delete slot.load(std::memory_order_relaxed);
-      }
-    }
-
-    const std::uint64_t radius_bits;
-    const Table* const next;  ///< the table published before this one
-    mutable std::vector<Slot> slots;  ///< by POI id; null until computed
-    mutable std::vector<BlockSlot> blocks;  ///< by type id; null until built
+    std::vector<std::unique_ptr<const AnchorAggregate>> aggregates;
+    std::vector<std::unique_ptr<const TypeBlock>> blocks;
   };
 
   AnchorCache(std::size_t num_pois, std::size_t num_types)
       : num_pois(num_pois), num_types(num_types) {}
 
-  static const Table* find(const Table* t, std::uint64_t bits) noexcept {
-    while (t != nullptr && t->radius_bits != bits) t = t->next;
-    return t;
-  }
-
-  const Table& table_for(std::uint64_t bits) {
-    if (const Table* t = find(head.load(std::memory_order_acquire), bits)) {
-      return *t;
-    }
-    const std::lock_guard<std::mutex> lock(add_mu);
-    const Table* first = head.load(std::memory_order_relaxed);
-    if (const Table* t = find(first, bits)) return *t;
-    tables.push_back(
-        std::make_unique<Table>(bits, num_pois, num_types, first));
-    head.store(tables.back().get(), std::memory_order_release);
-    return *tables.back();
-  }
-
-  // The entry in `slot`, computed on first use: outside any lock, then
-  // published with one CAS. On a concurrent double-compute the loser frees
-  // its copy and counts a hit, so misses stay equal to the number of
-  // distinct keys no matter the interleaving.
+  // The entry `member`[index] of the radius's table, computed on first
+  // use outside the lock. On a concurrent double-compute the thread that
+  // stores second drops its copy and counts a hit, so misses stay equal
+  // to the number of distinct keys no matter the interleaving. `entry`
+  // stays valid across the unlocked compute: map nodes do not move and a
+  // table's vectors are never resized after they are made.
   template <typename T, typename Compute>
-  const T& get_or_compute(std::atomic<const T*>& slot, Compute&& compute) {
-    if (const T* hit = slot.load(std::memory_order_acquire)) {
-      hits.add(1);
-      return *hit;
+  const T& get_or_compute(std::uint64_t radius_bits,
+                          std::vector<std::unique_ptr<const T>> Table::*member,
+                          std::size_t index, Compute&& compute) {
+    std::unique_lock<std::mutex> lock(mu);
+    auto [it, added] = tables.try_emplace(radius_bits);
+    if (added) {
+      it->second.aggregates.resize(num_pois);
+      it->second.blocks.resize(num_types);
     }
-    std::unique_ptr<T> computed = compute();
-    const T* expected = nullptr;
-    if (slot.compare_exchange_strong(expected, computed.get(),
-                                     std::memory_order_release,
-                                     std::memory_order_acquire)) {
-      misses.add(1);
-      return *computed.release();
+    std::unique_ptr<const T>& entry = (it->second.*member)[index];
+    if (entry == nullptr) {
+      lock.unlock();
+      std::unique_ptr<const T> computed = compute();
+      lock.lock();
+      if (entry == nullptr) {
+        entry = std::move(computed);
+        ++stats.misses;
+        return *entry;
+      }
     }
-    hits.add(1);
-    return *expected;
+    ++stats.hits;
+    return *entry;
   }
 
   const std::size_t num_pois;
   const std::size_t num_types;
-  std::atomic<const Table*> head{nullptr};
-  std::mutex add_mu;
-  std::vector<std::unique_ptr<Table>> tables;  ///< owns the list; add_mu
-  obs::Counter hits;
-  obs::Counter misses;
+  std::mutex mu;
+  std::unordered_map<std::uint64_t, Table> tables;  ///< guarded by mu
+  AnchorCacheStats stats;                           ///< guarded by mu
 };
 
 // Lazily built tile aggregates; the once_flag lives on the heap so the
@@ -169,16 +137,15 @@ const AnchorAggregate& PoiDatabase::anchor_aggregate(PoiId id,
     throw std::out_of_range("PoiDatabase::anchor_aggregate: POI id " +
                             std::to_string(id) + " out of range");
   }
-  AnchorCache::Slot& slot =
-      anchor_cache_->table_for(std::bit_cast<std::uint64_t>(radius))
-          .slots[id];
-  return anchor_cache_->get_or_compute(slot, [&] {
-    auto computed = std::make_unique<AnchorAggregate>();
-    computed->freq = freq(pois_[id].pos, radius);
-    computed->fp.resize(fingerprint_words(computed->freq.size()));
-    pack_fingerprint(computed->freq, computed->fp);
-    return computed;
-  });
+  return anchor_cache_->get_or_compute(
+      std::bit_cast<std::uint64_t>(radius), &AnchorCache::Table::aggregates,
+      id, [&] {
+        auto computed = std::make_unique<AnchorAggregate>();
+        computed->freq = freq(pois_[id].pos, radius);
+        computed->fp.resize(fingerprint_words(computed->freq.size()));
+        pack_fingerprint(computed->freq, computed->fp);
+        return computed;
+      });
 }
 
 const TypeBlock& PoiDatabase::type_block(TypeId type, double radius) const {
@@ -186,32 +153,32 @@ const TypeBlock& PoiDatabase::type_block(TypeId type, double radius) const {
     throw std::out_of_range("PoiDatabase::type_block: type " +
                             std::to_string(type) + " out of range");
   }
-  AnchorCache::BlockSlot& slot =
-      anchor_cache_->table_for(std::bit_cast<std::uint64_t>(radius))
-          .blocks[type];
-  return anchor_cache_->get_or_compute(slot, [&] {
-    // Each POI's row is scattered into its column; the pad columns stay 0.
-    const std::vector<PoiId>& ids = by_type_[type];
-    const std::size_t m = types_.size();
-    auto computed = std::make_unique<TypeBlock>();
-    computed->count = ids.size();
-    computed->stride = (ids.size() + 7) / 8 * 8;
-    computed->counts.assign(m * computed->stride, 0);
-    FrequencyVector row;
-    for (std::size_t j = 0; j < ids.size(); ++j) {
-      freq_into(pois_[ids[j]].pos, radius, row);
-      std::int32_t* column = computed->counts.data() + j;
-      for (std::size_t t = 0; t < m; ++t) column[t * computed->stride] = row[t];
-    }
-    return computed;
-  });
+  return anchor_cache_->get_or_compute(
+      std::bit_cast<std::uint64_t>(radius), &AnchorCache::Table::blocks,
+      type, [&] {
+        // Each POI's row is scattered into its column; the pad columns
+        // stay 0.
+        const std::vector<PoiId>& ids = by_type_[type];
+        const std::size_t m = types_.size();
+        auto computed = std::make_unique<TypeBlock>();
+        computed->count = ids.size();
+        computed->stride = (ids.size() + 7) / 8 * 8;
+        computed->counts.assign(m * computed->stride, 0);
+        FrequencyVector row;
+        for (std::size_t j = 0; j < ids.size(); ++j) {
+          freq_into(pois_[ids[j]].pos, radius, row);
+          std::int32_t* column = computed->counts.data() + j;
+          for (std::size_t t = 0; t < m; ++t) {
+            column[t * computed->stride] = row[t];
+          }
+        }
+        return computed;
+      });
 }
 
 AnchorCacheStats PoiDatabase::anchor_cache_stats() const noexcept {
-  AnchorCacheStats stats;
-  stats.hits = anchor_cache_->hits.value();
-  stats.misses = anchor_cache_->misses.value();
-  return stats;
+  const std::lock_guard<std::mutex> lock(anchor_cache_->mu);
+  return anchor_cache_->stats;
 }
 
 FrequencyVector PoiDatabase::freq(geo::Point center, double radius) const {

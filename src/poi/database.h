@@ -23,9 +23,9 @@ namespace poiprivacy::poi {
 
 /// Counters of the anchor cache (monotone over the database's lifetime).
 /// Every anchor_aggregate and every type_block lookup counts once: a hit
-/// when its entry is already published, a miss only for the call whose
-/// CAS publishes it. So hits + misses == lookups, and misses == the
-/// distinct (POI, radius) plus (type, radius) keys, for any thread count.
+/// when its entry is already stored, a miss only for the call that stores
+/// it. So hits + misses == lookups, and misses == the distinct
+/// (POI, radius) plus (type, radius) keys, for any thread count.
 struct AnchorCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -113,24 +113,24 @@ class PoiDatabase {
   const TileAggregates& tile_aggregates() const;
 
   /// Freq(poi(id).pos, radius) plus its presence fingerprint, through a
-  /// lock-free cache: one dense table of |POIs| atomic slots per distinct
-  /// radius, so a hit is a short scan of the radius list plus one acquire
-  /// load. The attacks' dominance pruning probes the same anchor POIs at
-  /// the same 2r radius for every evaluated location, so this is the hot
-  /// path of the whole evaluation. Thread-safe; entries are never
-  /// evicted, so the returned reference stays valid for the database's
-  /// lifetime. A miss is counted only by the thread whose CAS publishes
-  /// the entry, so misses == distinct (id, radius) keys regardless of
-  /// thread count. Throws std::out_of_range for an id >= pois().size().
+  /// cache of one table of |POIs| entries per distinct radius under one
+  /// mutex, so a hit is one locked hash lookup. The attacks' dominance
+  /// pruning probes the same anchor POIs at the same 2r radius for every
+  /// evaluated location. Thread-safe; a miss computes outside the lock,
+  /// and entries are never evicted, so the returned reference stays valid
+  /// for the database's lifetime. When two threads compute the same key,
+  /// the one that stores second drops its copy and counts a hit, so
+  /// misses == distinct (id, radius) keys regardless of thread count.
+  /// Throws std::out_of_range for an id >= pois().size().
   const AnchorAggregate& anchor_aggregate(PoiId id, double radius) const;
 
   /// The TypeBlock of every POI of `type` at `radius`, through the same
-  /// per-radius tables as anchor_aggregate: one more slot per type beside
-  /// the per-POI slots, built outside any lock from one freq_into row per
-  /// POI and published with the same CAS (a losing thread frees its copy
-  /// and counts a hit). Never evicted; at most |types| x |POIs| x 4 bytes
-  /// per radius. A type with no POIs gets an empty block. Throws
-  /// std::out_of_range for a type >= num_types().
+  /// per-radius tables as anchor_aggregate: one more entry per type beside
+  /// the per-POI entries, built outside the lock from one freq_into row
+  /// per POI and stored the same way (a thread that stores second drops
+  /// its copy and counts a hit). Never evicted; at most
+  /// |types| x |POIs| x 4 bytes per radius. A type with no POIs gets an
+  /// empty block. Throws std::out_of_range for a type >= num_types().
   const TypeBlock& type_block(TypeId type, double radius) const;
 
   /// The frequency vector alone (anchor_aggregate's freq member).
@@ -187,8 +187,7 @@ class PoiDatabase {
   int rare_type_count_ = 0;
   std::vector<std::vector<PoiId>> by_type_;
   // Heap-allocated so the database stays movable despite the cache's
-  // atomics and mutex; the pointee is mutated from const methods (it is
-  // a cache).
+  // mutex; the pointee is mutated from const methods (it is a cache).
   std::unique_ptr<AnchorCache> anchor_cache_;
   // Same pattern for the lazily built tile aggregates (std::once_flag is
   // not movable either).

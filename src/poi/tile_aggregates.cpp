@@ -9,7 +9,7 @@ namespace poiprivacy::poi {
 TileAggregates::TileAggregates(std::span<const Poi> pois,
                                std::size_t num_types, geo::BBox bounds,
                                double tile_km)
-    : bounds_(bounds), tile_km_(tile_km), inv_tile_km_(1.0 / tile_km) {
+    : bounds_(bounds), inv_tile_km_(1.0 / tile_km) {
   assert(tile_km > 0.0);
   nx_ = std::max(1, static_cast<int>(std::ceil(bounds.width() / tile_km)));
   ny_ = std::max(1, static_cast<int>(std::ceil(bounds.height() / tile_km)));

@@ -76,7 +76,6 @@ class TileAggregates {
 
   int nx() const noexcept { return nx_; }
   int ny() const noexcept { return ny_; }
-  double tile_km() const noexcept { return tile_km_; }
 
  private:
   struct Rect {
@@ -87,8 +86,7 @@ class TileAggregates {
                                Rect r) noexcept;
 
   geo::BBox bounds_;
-  double tile_km_;
-  double inv_tile_km_;  ///< 1 / tile_km_: tile indexing multiplies, never divides
+  double inv_tile_km_;  ///< 1 / tile_km: indexing multiplies, never divides
   int nx_ = 0;
   int ny_ = 0;
   std::size_t plane_stride_ = 0;  ///< (nx_+1) * (ny_+1)

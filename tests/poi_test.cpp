@@ -192,19 +192,36 @@ TEST(Database, AnchorCacheRejectsOutOfRangeIds) {
 }
 
 TEST(Database, AnchorCacheRacingColdLookupsPublishOneEntryPerKey) {
-  const City city = make_test_city();
+  // Even threads look up anchor aggregates and odd threads type blocks, at
+  // three radii no earlier call has touched, so the first touch of each
+  // radius's table races across both key kinds. Beijing's blocks are slow
+  // enough to build that racing threads compute the same key and one of
+  // them stores second.
+  const City city = generate_city(beijing_preset(), 7);
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kRounds = 5;
-  constexpr std::size_t kKeys = 24;  // distinct ids over 3 radii, all cold
+  constexpr std::size_t kKeys = 24;  // per kind: 8 ids or types x 3 radii
+  ASSERT_GE(city.db.num_types(), kKeys / 3);
   const auto key_id = [&](std::size_t k) {
     return static_cast<PoiId>((k * 37) % city.db.pois().size());
   };
+  // The most common types give the slowest blocks.
+  std::vector<TypeId> by_count(city.db.num_types());
+  std::iota(by_count.begin(), by_count.end(), TypeId{0});
+  std::sort(by_count.begin(), by_count.end(), [&](TypeId a, TypeId b) {
+    return city.db.city_freq()[a] > city.db.city_freq()[b];
+  });
+  const auto key_type = [&](std::size_t k) { return by_count[k / 3]; };
   const auto key_radius = [](std::size_t k) {
-    return 0.6 + 0.5 * static_cast<double>(k % 3);
+    return 2.0 + 0.5 * static_cast<double>(k % 3);
   };
-  // seen[t][k]: the address thread t got for key k.
-  std::vector<std::vector<const AnchorAggregate*>> seen(
-      kThreads, std::vector<const AnchorAggregate*>(kKeys));
+  const auto lookup = [&](std::size_t t, std::size_t k) -> const void* {
+    if (t % 2 == 0) return &city.db.anchor_aggregate(key_id(k), key_radius(k));
+    return &city.db.type_block(key_type(k), key_radius(k));
+  };
+  // seen[t][k]: the address thread t got for key k of its kind.
+  std::vector<std::vector<const void*>> seen(
+      kThreads, std::vector<const void*>(kKeys));
   std::latch start(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -213,11 +230,10 @@ TEST(Database, AnchorCacheRacingColdLookupsPublishOneEntryPerKey) {
       start.arrive_and_wait();  // every thread's first lookup is a race
       for (std::size_t round = 0; round < kRounds; ++round) {
         for (std::size_t i = 0; i < kKeys; ++i) {
-          // Threads walk the keys from different offsets so the first
-          // touches of each key collide in varying orders.
-          const std::size_t k = (i + t * 3) % kKeys;
-          const AnchorAggregate* got =
-              &city.db.anchor_aggregate(key_id(k), key_radius(k));
+          // Two pairs of threads per kind walk the keys in lockstep from
+          // two offsets, so most first touches collide.
+          const std::size_t k = (i + (t / 2 % 2) * (kKeys / 2)) % kKeys;
+          const void* got = lookup(t, k);
           if (round == 0) seen[t][k] = got;
           ASSERT_EQ(got, seen[t][k]);
         }
@@ -226,21 +242,32 @@ TEST(Database, AnchorCacheRacingColdLookupsPublishOneEntryPerKey) {
   }
   for (std::thread& th : threads) th.join();
   for (std::size_t k = 0; k < kKeys; ++k) {
-    for (std::size_t t = 1; t < kThreads; ++t) {
-      EXPECT_EQ(seen[t][k], seen[0][k]) << "key " << k << " thread " << t;
+    for (std::size_t t = 2; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t][k], seen[t % 2][k]) << "key " << k << " thread " << t;
     }
-    EXPECT_EQ(seen[0][k]->freq,
+    const auto* aggregate = static_cast<const AnchorAggregate*>(seen[0][k]);
+    EXPECT_EQ(aggregate->freq,
               city.db.freq(city.db.poi(key_id(k)).pos, key_radius(k)));
+    const auto* block = static_cast<const TypeBlock*>(seen[1][k]);
+    const std::vector<PoiId>& ids = city.db.pois_of_type(key_type(k));
+    ASSERT_EQ(block->count, ids.size());
+    for (std::size_t j = 0; j < ids.size(); ++j) {
+      const FrequencyVector f =
+          city.db.freq(city.db.poi(ids[j]).pos, key_radius(k));
+      for (TypeId type = 0; type < city.db.num_types(); ++type) {
+        ASSERT_EQ(block->row(type)[j], f[type]) << "key " << k;
+      }
+    }
   }
   const AnchorCacheStats stats = city.db.anchor_cache_stats();
-  EXPECT_EQ(stats.misses, kKeys);
+  EXPECT_EQ(stats.misses, 2 * kKeys);  // kKeys anchor keys + kKeys blocks
   EXPECT_EQ(stats.lookups(), kThreads * kRounds * kKeys);
 }
 
 TEST(Database, TypeBlockRacingColdLookupsPublishOneBlockPerKey) {
   // Beijing's most common types at wide radii give blocks slow enough to
   // build that threads lagging behind a leader catch up with it mid-build
-  // and lose its CAS; a 4-CPU host saw 3-9 losers in each of 20 runs.
+  // and store second; a 4-CPU host saw 3-9 such losers in each of 20 runs.
   const City city = generate_city(beijing_preset(), 7);
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kRounds = 5;
